@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-reliability verify-serving verify-gateway verify-overload verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-reliability verify-serving verify-gateway verify-overload verify-stackbench verify-chaos verify-obs verify-store verify-trace
 
 install:
 	$(PYTHON) setup.py develop
@@ -35,10 +35,14 @@ verify-gateway:
 verify-overload:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_serving_overload.py \
 	    tests/test_serving_overload_service.py \
-	    tests/test_serving_overload_gateway.py -q
+	    tests/test_serving_overload_gateway.py \
+	    tests/test_serving_admission.py -q
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
 	    --scenario overload-storm --max-rounds 2 \
 	    --time-budget-s 120 --seed 0
+
+verify-stackbench:
+	python3 -m pytest stackbench/tests -q
 
 verify-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro chaos soak --max-rounds 1 --seed 0

@@ -303,8 +303,9 @@ class LinearChainCRF(Module):
         best-first and its extensions shift every score by the same
         constant, so the merge pops exactly k winners instead of sorting
         all ``T * k`` candidates.  Tie-breaking matches the full-sort
-        scan (:meth:`_viterbi_top_k_reference`): equal scores prefer the
-        smaller previous tag, then the better rank within its beam.
+        scan (the parity oracle in ``tests/crf_reference.py``): equal
+        scores prefer the smaller previous tag, then the better rank
+        within its beam.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -362,48 +363,6 @@ class LinearChainCRF(Module):
             (beams[tag][rank][1], -neg_score)
             for neg_score, tag, rank in heapq.nsmallest(k, finals)
         ]
-
-    def _viterbi_top_k_reference(self, emissions: np.ndarray,
-                                 k: int = 3) -> list[tuple[list[int], float]]:
-        """The original O(T²·k log(T·k)) full-sort list-Viterbi scan.
-
-        Kept as the parity oracle for :meth:`viterbi_top_k` — the heap
-        merge must reproduce its output, ties included, exactly.
-        """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
-        length, num_tags = emissions.shape
-        self._check_num_tags(emissions)
-        trans = self.transitions.data + self._transition_penalty
-        start = self.start_scores.data + self._start_penalty
-        beams: list[list[tuple[float, list[int]]]] = [
-            [(float(start[t] + emissions[0, t]), [t])] for t in range(num_tags)
-        ]
-        for step in range(1, length):
-            new_beams: list[list[tuple[float, list[int]]]] = []
-            for tag in range(num_tags):
-                candidates: list[tuple[float, list[int]]] = []
-                for prev_tag in range(num_tags):
-                    for score, path in beams[prev_tag]:
-                        candidates.append(
-                            (
-                                score + trans[prev_tag, tag]
-                                + emissions[step, tag],
-                                path + [tag],
-                            )
-                        )
-                candidates.sort(key=lambda item: item[0], reverse=True)
-                new_beams.append(candidates[:k])
-            beams = new_beams
-        finals: list[tuple[float, list[int]]] = []
-        for tag in range(num_tags):
-            for score, path in beams[tag]:
-                finals.append((score + float(self.end_scores.data[tag]), path))
-        finals.sort(key=lambda item: item[0], reverse=True)
-        return [(path, score) for score, path in finals[:k]]
 
     def marginals(self, emissions: Tensor) -> np.ndarray:
         """Posterior tag marginals ``(L, T)`` via forward-backward (numpy)."""

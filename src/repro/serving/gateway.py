@@ -54,6 +54,7 @@ import numpy as np
 from repro import obs
 from repro.obs import reqtrace
 from repro.obs.metrics import MetricsRegistry, histogram_quantile
+from repro.serving.admission import AdmissionQueue, evict_for
 from repro.serving.breaker import BREAKER_STATE_CODES, OPEN, CircuitBreaker
 from repro.serving.replica import (
     _UNSET_SENTINEL,
@@ -63,10 +64,8 @@ from repro.serving.replica import (
 )
 from repro.serving.overload import (
     PRIORITIES,
-    PRIORITY_RANK,
     STANDARD,
     AIMDLimiter,
-    CoDelController,
     OverloadConfig,
     RetryBudget,
     deadline_missed,
@@ -314,16 +313,17 @@ class _Request:
 
 
 class _Shard:
-    def __init__(self, shard_id: int, handle, breaker: CircuitBreaker):
+    def __init__(self, shard_id: int, handle, breaker: CircuitBreaker,
+                 queue: AdmissionQueue[_Request]):
         self.id = shard_id
         self.handle = handle
         self.breaker = breaker
         self.state = READY
-        self.queue: collections.deque[int] = collections.deque()
+        #: Bounded by the gateway on ``load`` (queued + in flight).
+        self.queue = queue
         self.inflight: dict[int, float] = {}
-        #: Overload control (set by the gateway when enabled).
+        #: AIMD in-flight cap (set by the gateway under overload control).
         self.limiter: AIMDLimiter | None = None
-        self.codel: CoDelController | None = None
         self.served = 0
         self.deaths = 0
         self.rebuilds = 0
@@ -398,6 +398,7 @@ class ShardedGateway:
         #: are re-routed every pump until a replica comes back.
         self._limbo: collections.deque[int] = collections.deque()
         self._reload_pending: list[int] = []
+        self._overload = self.config.overload
         self._shards: list[_Shard] = []
         for i in range(self.config.replicas):
             if backend == "process":
@@ -412,8 +413,8 @@ class ShardedGateway:
                 clock=clock,
                 on_transition=self._make_breaker_observer(i),
             )
-            self._shards.append(_Shard(i, handle, breaker))
-        self._overload = self.config.overload
+            queue = AdmissionQueue(overload=self._overload, clock=clock)
+            self._shards.append(_Shard(i, handle, breaker, queue))
         if self._overload is not None:
             self._retry_budget = RetryBudget(
                 self._overload.retry_ratio, floor=self._overload.retry_floor,
@@ -422,10 +423,6 @@ class ShardedGateway:
             self.report.shed_by_priority = {name: 0 for name in PRIORITIES}
             for shard in self._shards:
                 shard.limiter = AIMDLimiter(self._overload, clock=clock)
-                shard.codel = CoDelController(
-                    self._overload.codel_target_ms,
-                    self._overload.codel_interval_ms, clock=clock,
-                )
         else:
             self._retry_budget = None
         self._closed = False
@@ -483,7 +480,7 @@ class ShardedGateway:
             "inflight_limits": {
                 shard.id: shard.limiter.limit for shard in self._shards
             },
-            "codel_drops": sum(shard.codel.drops for shard in self._shards),
+            "codel_drops": sum(s.queue.codel.drops for s in self._shards),
             "shed_by_priority": dict(self.report.shed_by_priority),
         }
         ladders = []
@@ -575,19 +572,32 @@ class ShardedGateway:
                    if reqtrace.tracing_enabled() else None),
         )
         shard = self._choose_shard(request)
-        if shard is None and self._overload is not None:
-            shard = self._evict_for(request)
         if shard is None:
+            routable = [s for s in self._shards if self._routable(s)]
+            evicted = evict_for(request.priority,
+                                [s.queue for s in routable])
+            if evicted is None:
+                self._shed_ticket(
+                    request, "no replica can take the request "
+                    "(queues full or fleet unhealthy)", queued=False,
+                )
+                return ticket
+            index, victim = evicted
+            shard = routable[index]
+            victim.inflight_on.discard(shard.id)
+            if victim.trace is not None:
+                reqtrace.hop(victim.trace, "evict", ticket=victim.ticket,
+                             where="gateway", by=request.priority)
+            self.report.evictions += 1
+            self._count("evictions")
             self._shed_ticket(
-                ticket, request,
-                "no replica can take the request "
-                "(queues full or fleet unhealthy)", queued=False,
+                victim, f"evicted by a {request.priority} arrival while "
+                "queued", queued=True,
             )
-            return ticket
         self.report.admitted += 1
         self._count("admitted")
         self._requests[ticket] = request
-        shard.queue.append(ticket)
+        shard.queue.push(request)
         request.inflight_on.add(shard.id)
         if request.trace is not None:
             reqtrace.hop(request.trace, "admit", ticket=ticket,
@@ -596,8 +606,8 @@ class ShardedGateway:
                          where="gateway", replica=shard.id, attempt=0)
         return ticket
 
-    def _shed_ticket(self, ticket: int, request: _Request | None,
-                     reason: str, *, queued: bool) -> None:
+    def _shed_ticket(self, request: _Request, reason: str, *,
+                     queued: bool) -> None:
         """Deliver a gateway-side shed with full stats parity.
 
         Sheds never reach a replica, so the gateway itself records the
@@ -608,13 +618,9 @@ class ShardedGateway:
         already-admitted tickets also count as completed: the caller
         gets an answer, never silence.
         """
-        wait_ms = 0.0
-        priority = STANDARD
-        trace = None
-        if request is not None:
-            wait_ms = max(0.0, (self.clock() - request.submitted_at) * 1000.0)
-            priority = request.priority
-            trace = request.trace
+        ticket, priority = request.ticket, request.priority
+        trace = request.trace
+        wait_ms = max(0.0, (self.clock() - request.submitted_at) * 1000.0)
         self.report.shed += 1
         self._count("shed")
         self.metrics.counter("serving.shed").inc()
@@ -639,44 +645,6 @@ class ShardedGateway:
             replica=None, latency_ms=wait_ms, priority=priority,
             trace=trace,
         )
-
-    def _evict_for(self, request: _Request) -> _Shard | None:
-        """Free a queue slot for ``request`` by evicting lower priority.
-
-        Scans routable shards for the freshest queued ticket of the
-        lowest priority class present; evicts it only when it ranks
-        strictly below the arrival.  Returns the shard with the freed
-        slot (the arrival is admitted there), or ``None``.
-        """
-        worst: tuple[int, int, _Shard] | None = None
-        for shard in self._shards:
-            if not self._routable(shard):
-                continue
-            for ticket in shard.queue:
-                queued = self._requests.get(ticket)
-                if queued is None or ticket in self._done:
-                    continue
-                rank = PRIORITY_RANK[queued.priority]
-                if worst is None or (rank, ticket) > worst[:2]:
-                    worst = (rank, ticket, shard)
-        if worst is None or worst[0] <= PRIORITY_RANK[request.priority]:
-            return None
-        _rank, victim, shard = worst
-        shard.queue.remove(victim)
-        victim_request = self._requests.get(victim)
-        if victim_request is not None:
-            victim_request.inflight_on.discard(shard.id)
-            if victim_request.trace is not None:
-                reqtrace.hop(victim_request.trace, "evict", ticket=victim,
-                             where="gateway", by=request.priority)
-        self.report.evictions += 1
-        self._count("evictions")
-        self._shed_ticket(
-            victim, victim_request,
-            f"evicted by a {request.priority} arrival while queued",
-            queued=True,
-        )
-        return shard
 
     def _routable(self, shard: _Shard, exclude: Iterable[int] = ()) -> bool:
         return (shard.state == READY and shard.handle.alive()
@@ -735,7 +703,7 @@ class ShardedGateway:
         if shard is None:
             self._limbo.append(ticket)
             return
-        shard.queue.appendleft(ticket)  # innocents go to the front
+        shard.queue.push_front(request)  # innocents go to the front
         request.inflight_on.add(shard.id)
         if request.trace is not None:
             reqtrace.hop(request.trace, "route", ticket=ticket,
@@ -787,9 +755,8 @@ class ShardedGateway:
         # Refund in-flight work (the replica died, not the request) and
         # reroute anything still queued.
         inflight = list(shard.inflight)
-        queued = list(shard.queue)
+        queued = [request.ticket for request in shard.queue.take_all()]
         shard.inflight.clear()
-        shard.queue.clear()
         for ticket in inflight + queued:
             request = self._requests.get(ticket)
             if request is not None:
@@ -876,13 +843,9 @@ class ShardedGateway:
         for shard in draining:
             # Queued-but-undispatched work reroutes immediately; only
             # genuinely in-flight requests hold the drain open.
-            queued = list(shard.queue)
-            shard.queue.clear()
-            for ticket in queued:
-                request = self._requests.get(ticket)
-                if request is not None:
-                    request.inflight_on.discard(shard.id)
-                self._requeue(ticket, refund=False)
+            for request in shard.queue.take_all():
+                request.inflight_on.discard(shard.id)
+                self._requeue(request.ticket, refund=False)
             if not shard.inflight:
                 shard.handle.stop(timeout_s=2.0)
                 shard.handle.generation += 1
@@ -955,7 +918,7 @@ class ShardedGateway:
             if shard is None:
                 self._limbo.append(ticket)
                 continue
-            shard.queue.appendleft(ticket)
+            shard.queue.push_front(request)
             request.inflight_on.add(shard.id)
 
     # -- dispatch / collect ---------------------------------------------
@@ -967,12 +930,19 @@ class ShardedGateway:
                 if (shard.limiter is not None
                         and len(shard.inflight) >= shard.limiter.limit):
                     break  # AIMD cap: leave the rest queued this pass
-                if shard.codel is not None and self._codel_police(shard, now):
-                    continue  # one stale ticket shed; re-check the queue
-                ticket = self._pop_next(shard)
+                victim = shard.queue.police(now)
+                if victim is not None:
+                    victim.inflight_on.discard(shard.id)
+                    self._shed_ticket(
+                        victim, "queue standing beyond CoDel target; "
+                        "stale request shed", queued=True,
+                    )
+                    shard.limiter.on_congestion()
+                    continue  # re-check the queue
+                request = shard.queue.pop()
+                ticket = request.ticket
                 if ticket in self._done:
                     continue  # answered elsewhere while queued
-                request = self._requests[ticket]
                 shard.inflight[ticket] = now
                 if request.first_sent_at is None:
                     request.first_sent_at = now
@@ -995,69 +965,6 @@ class ShardedGateway:
                                   request.deadline_ms,
                                   priority=request.priority,
                                   trace=request.trace)
-
-    def _pop_next(self, shard: _Shard) -> int:
-        """Next ticket to dispatch: FIFO, or priority-ordered under
-        overload control (highest class first, FIFO within a class)."""
-        if self._overload is None:
-            return shard.queue.popleft()
-        best_index = 0
-        best_rank = None
-        for index, ticket in enumerate(shard.queue):
-            request = self._requests.get(ticket)
-            rank = (PRIORITY_RANK[request.priority]
-                    if request is not None else -1)
-            if best_rank is None or rank < best_rank:
-                best_rank = rank
-                best_index = index
-                if rank <= 0:
-                    break  # nothing outranks the head of this class
-        ticket = shard.queue[best_index]
-        del shard.queue[best_index]
-        return ticket
-
-    def _codel_police(self, shard: _Shard, now: float) -> bool:
-        """CoDel staleness check on the shard queue's FIFO head.
-
-        When the head has been standing past the CoDel target for a full
-        interval, one ticket is shed — the freshest ticket of the
-        *lowest* priority class present (the head itself only when
-        nothing ranks below it), so staleness pressure lands on batch
-        work first.  Returns True when a ticket was shed.
-        """
-        while shard.queue and shard.queue[0] in self._done:
-            shard.queue.popleft()  # answered elsewhere; not head-of-line
-        if not shard.queue:
-            return False
-        head = self._requests.get(shard.queue[0])
-        if head is None:
-            shard.queue.popleft()
-            return True
-        sojourn_ms = max(0.0, (now - head.submitted_at) * 1000.0)
-        if not shard.codel.offer(sojourn_ms):
-            return False
-        worst = max(
-            range(len(shard.queue)),
-            key=lambda i: (
-                PRIORITY_RANK.get(
-                    getattr(self._requests.get(shard.queue[i]), "priority",
-                            STANDARD), 1),
-                shard.queue[i],
-            ),
-        )
-        victim = shard.queue[worst]
-        del shard.queue[worst]
-        request = self._requests.get(victim)
-        if request is not None:
-            request.inflight_on.discard(shard.id)
-        self._shed_ticket(
-            victim, request,
-            "queue standing beyond CoDel target; stale request shed",
-            queued=True,
-        )
-        if shard.limiter is not None:
-            shard.limiter.on_congestion()
-        return True
 
     def _collect(self) -> int:
         delivered = 0
@@ -1112,11 +1019,7 @@ class ShardedGateway:
                 for other_id in list(request.inflight_on):
                     other = self._shards[other_id]
                     other.inflight.pop(ticket, None)
-                    if ticket in other.queue:
-                        try:
-                            other.queue.remove(ticket)
-                        except ValueError:  # pragma: no cover
-                            pass
+                    other.queue.remove(request)
                     request.inflight_on.discard(other_id)
                     if request.hedged:
                         self.report.hedges_cancelled += 1

@@ -4,9 +4,9 @@
 CNN-BiGRU-CRF backbone, the LM baselines) in the pipeline a loaded
 production tagger needs:
 
-1. **Admission** — a bounded queue: past ``max_pending`` requests, new
-   work is shed immediately with an :class:`Overloaded` result (bounded
-   latency beats unbounded queueing).
+1. **Admission** — a bounded queue (:mod:`repro.serving.admission`):
+   past ``max_pending`` requests, new work is shed immediately with an
+   :class:`Overloaded` result (bounded latency beats unbounded queueing).
 2. **Validation/sanitization** — NFC normalization, control-character
    stripping, length caps; garbage becomes a structured
    :class:`Rejected` result, never a traceback.
@@ -50,6 +50,7 @@ from repro.models.decoding import (
 from repro import obs
 from repro.obs import reqtrace
 from repro.obs.metrics import MetricsRegistry
+from repro.serving.admission import AdmissionQueue, evict_for
 from repro.serving.breaker import OPEN, CircuitBreaker
 from repro.serving.deadline import Clock, Deadline
 from repro.serving.overload import (
@@ -61,7 +62,6 @@ from repro.serving.overload import (
     PRIORITY_RANK,
     STANDARD,
     BrownoutLadder,
-    CoDelController,
     OverloadConfig,
     validate_priority,
 )
@@ -198,12 +198,12 @@ class ServiceConfig:
 class _Pending:
     """An admitted, sanitized request waiting for its micro-batch."""
 
-    key: int
+    ticket: int
     sentence: Sentence
     deadline: Deadline | None
     modified: bool
     #: Service-clock time of admission (queue-wait measurement origin).
-    admitted_at: float = 0.0
+    submitted_at: float = 0.0
     #: Priority class (overload control); ``standard`` when unset.
     priority: str = STANDARD
     #: Request-trace id carried from gateway admission (``None`` = untraced).
@@ -240,7 +240,8 @@ class TaggingService:
             clock=clock,
             on_transition=self._on_breaker_transition,
         )
-        self._pending: list[_Pending] = []
+        self._queue: AdmissionQueue[_Pending] = AdmissionQueue(
+            self.config.max_pending, self.config.overload, clock)
         self._done: dict[int, TagResult | Rejected | Overloaded | Expired] = {}
         self._next_ticket = 0
         self.stats = {
@@ -252,14 +253,9 @@ class TaggingService:
                 self.config.overload, clock=clock,
                 on_transition=self._on_overload_transition,
             )
-            self.codel = CoDelController(
-                self.config.overload.codel_target_ms,
-                self.config.overload.codel_interval_ms, clock=clock,
-            )
             self.overload_sheds = {name: 0 for name in PRIORITIES}
         else:
             self.ladder = None
-            self.codel = None
             self.overload_sheds = None
         #: Per-instance metrics (two services never share counters); the
         #: active telemetry session, when any, gets mirrored updates.
@@ -302,6 +298,12 @@ class TaggingService:
                 and new >= recorder.brownout_level:
             reqtrace.incident("brownout_escalation", old=old, new=new)
 
+    def _dequeued(self, item: _Pending) -> float:
+        """Observe and return the wait of an item leaving undecoded."""
+        wait_ms = max(0.0, (self.clock() - item.submitted_at) * 1000.0)
+        self._observe_ms("serving.queue_wait_ms", wait_ms, trace_id=item.trace)
+        return wait_ms
+
     def _shed(self, ticket: int, priority: str, reason: str,
               wait_ms: float = 0.0, trace: str | None = None) -> None:
         """Record one shed: result, ledger, and per-priority counters."""
@@ -328,7 +330,7 @@ class TaggingService:
         if self.ladder is None:
             return None
         snap = self.ladder.snapshot()
-        snap["codel_drops"] = self.codel.drops
+        snap["codel_drops"] = self._queue.codel.drops
         snap["shed_by_priority"] = dict(self.overload_sheds)
         snap["expired"] = self.stats["expired"]
         return snap
@@ -425,14 +427,21 @@ class TaggingService:
                 f"{self.ladder.pressure}", trace=trace,
             )
             return ticket
-        if len(self._pending) >= self.config.max_pending \
-                and not self._evict_for(priority):
-            self._shed(
-                ticket, priority,
-                f"queue full ({self.config.max_pending} pending requests)",
-                trace=trace,
-            )
-            return ticket
+        if self._queue.full:
+            evicted = evict_for(priority, [self._queue])
+            if evicted is None:
+                self._shed(ticket, priority, f"queue full "
+                           f"({self.config.max_pending} pending requests)",
+                           trace=trace)
+                return ticket
+            victim = evicted[1]
+            wait_ms = self._dequeued(victim)
+            if victim.trace is not None:
+                reqtrace.hop(victim.trace, "evict", ticket=victim.ticket,
+                             where="service", by=priority)
+            self._shed(victim.ticket, victim.priority,
+                       f"evicted by a {priority} arrival while queued",
+                       wait_ms=wait_ms, trace=victim.trace)
         try:
             clean = self.sanitizer.sanitize(tokens)
         except InvalidRequest as exc:
@@ -454,95 +463,52 @@ class TaggingService:
             Deadline.after_ms(budget, clock=self.clock)
             if budget is not None else None
         )
-        self._pending.append(_Pending(
+        self._queue.push(_Pending(
             ticket, Sentence(clean.tokens), deadline, clean.modified,
-            admitted_at=self.clock(), priority=priority, trace=trace,
+            submitted_at=self.clock(), priority=priority, trace=trace,
         ))
-        self.metrics.gauge("serving.queue_depth").set(len(self._pending))
-        obs.set_gauge("serving.queue_depth", len(self._pending))
+        self.metrics.gauge("serving.queue_depth").set(len(self._queue))
+        obs.set_gauge("serving.queue_depth", len(self._queue))
         if trace is not None:
             reqtrace.hop(trace, "queue", ticket=ticket, where="service",
-                         priority=priority, depth=len(self._pending))
+                         priority=priority, depth=len(self._queue))
         return ticket
-
-    def _evict_for(self, priority: str) -> bool:
-        """Try to free a queue slot for an arrival of ``priority``.
-
-        Evicts the freshest, lowest-priority queued request when it ranks
-        strictly below the arrival — batch never displaces interactive,
-        and nothing evicts within its own class.  Returns True when a
-        slot was freed.
-        """
-        if self.ladder is None or not self._pending:
-            return False
-        worst = max(
-            range(len(self._pending)),
-            key=lambda i: (PRIORITY_RANK[self._pending[i].priority], i),
-        )
-        victim = self._pending[worst]
-        if PRIORITY_RANK[victim.priority] <= PRIORITY_RANK[priority]:
-            return False
-        del self._pending[worst]
-        wait_ms = max(0.0, (self.clock() - victim.admitted_at) * 1000.0)
-        self._observe_ms("serving.queue_wait_ms", wait_ms,
-                         trace_id=victim.trace)
-        if victim.trace is not None:
-            reqtrace.hop(victim.trace, "evict", ticket=victim.key,
-                         where="service", by=priority)
-        self._shed(victim.key, victim.priority,
-                   f"evicted by a {priority} arrival while queued",
-                   wait_ms=wait_ms, trace=victim.trace)
-        return True
 
     def drain(self) -> dict[int, TagResult | Rejected | Overloaded]:
         """Process all queued work and hand back every finished result.
 
         Each served :class:`TagResult` reports its admission→decode
         queue wait (``queue_wait_ms``), also folded into the
-        ``serving.queue_wait_ms`` latency histogram.
+        ``serving.queue_wait_ms`` latency histogram.  Under overload
+        control, CoDel drops and requests that expired while queued
+        count as deadline misses for the brownout ladder.
         """
-        pending, self._pending = self._pending, []
         self.metrics.gauge("serving.queue_depth").set(0)
         obs.set_gauge("serving.queue_depth", 0)
         if self.ladder is not None:
             self.ladder.tick()
-            pending = self._police_queue(pending)
+        pending: list[_Pending] = []
+        while self._queue:
+            victim = self._queue.police(self.clock())
+            if victim is not None:
+                self._shed(victim.ticket, victim.priority,
+                           "queue standing beyond CoDel target; "
+                           "stale request shed",
+                           wait_ms=self._dequeued(victim), trace=victim.trace)
+                self.ladder.observe(True)
+                continue
+            item = self._queue.pop()
+            if self.ladder is not None and item.deadline is not None \
+                    and item.deadline.expired:
+                self._expire(item.ticket, "deadline expired while queued",
+                             wait_ms=self._dequeued(item), trace=item.trace)
+                self.ladder.observe(True)
+                continue
+            pending.append(item)
         for batch in self._micro_batches(pending):
             self._process_batch(batch)
         done, self._done = self._done, {}
         return done
-
-    def _police_queue(self, pending: list[_Pending]) -> list[_Pending]:
-        """Overload-control pass over the queue before batching.
-
-        Fails requests whose deadline expired while they waited, runs
-        the CoDel staleness discipline over the rest, and orders the
-        survivors highest-priority-first (FIFO within a class).  Both
-        expiries and CoDel drops count as deadline misses for the
-        brownout ladder — they are symptoms of a standing queue.
-        """
-        survivors: list[_Pending] = []
-        for item in pending:
-            wait_ms = max(0.0, (self.clock() - item.admitted_at) * 1000.0)
-            if item.deadline is not None and item.deadline.expired:
-                self._observe_ms("serving.queue_wait_ms", wait_ms,
-                                 trace_id=item.trace)
-                self._expire(item.key, "deadline expired while queued",
-                             wait_ms=wait_ms, trace=item.trace)
-                self.ladder.observe(True)
-                continue
-            if self.codel.offer(wait_ms):
-                self._observe_ms("serving.queue_wait_ms", wait_ms,
-                                 trace_id=item.trace)
-                self._shed(item.key, item.priority,
-                           "queue standing beyond CoDel target; "
-                           "stale request shed", wait_ms=wait_ms,
-                           trace=item.trace)
-                self.ladder.observe(True)
-                continue
-            survivors.append(item)
-        survivors.sort(key=lambda it: (PRIORITY_RANK[it.priority], it.key))
-        return survivors
 
     # ------------------------------------------------------------------
     # Pipeline internals
@@ -648,10 +614,10 @@ class TaggingService:
             key = self._store_key(store, p.sentence.tokens)
             if key is None:
                 return {}, {}
-            keys[p.key] = key
+            keys[p.ticket] = key
             path = store.get_json(key)
             if path is not None:
-                hits[p.key] = path
+                hits[p.ticket] = path
         return hits, keys
 
     def _trace_served(self, p: _Pending, wait_ms: float, status: str,
@@ -660,7 +626,7 @@ class TaggingService:
         """Emit the service-side decode+respond hops for one request."""
         if p.trace is None:
             return
-        fields = {"ticket": p.key, "where": "service",
+        fields = {"ticket": p.ticket, "where": "service",
                   "wait_ms": round(wait_ms, 3), "status": status}
         if decode_ms is not None:
             fields["decode_ms"] = round(decode_ms, 3)
@@ -669,18 +635,18 @@ class TaggingService:
         if degraded:
             fields["degraded"] = True
         reqtrace.hop(p.trace, "decode", **fields)
-        reqtrace.hop(p.trace, "respond", ticket=p.key, where="service",
+        reqtrace.hop(p.trace, "respond", ticket=p.ticket, where="service",
                      status=status)
 
     def _process_batch(self, batch: list[_Pending]) -> None:
         deadline = self._batch_deadline(batch)
         decode_started = self.clock()
         waits = {
-            p.key: max(0.0, (decode_started - p.admitted_at) * 1000.0)
+            p.ticket: max(0.0, (decode_started - p.submitted_at) * 1000.0)
             for p in batch
         }
         for p in batch:
-            self._observe_ms("serving.queue_wait_ms", waits[p.key],
+            self._observe_ms("serving.queue_wait_ms", waits[p.ticket],
                              trace_id=p.trace)
         # Batches are single-priority when overload control is on, so
         # one ladder lookup fixes the brownout mode for the whole batch.
@@ -691,9 +657,9 @@ class TaggingService:
         if mode == MODE_SHED:
             # The ladder escalated between admission and drain.
             for p in batch:
-                self._shed(p.key, p.priority,
+                self._shed(p.ticket, p.priority,
                            f"brownout: {p.priority} traffic shed at level "
-                           f"{self.ladder.pressure}", wait_ms=waits[p.key],
+                           f"{self.ladder.pressure}", wait_ms=waits[p.ticket],
                            trace=p.trace)
             return
         hits, store_keys = self._store_probe(batch)
@@ -702,33 +668,33 @@ class TaggingService:
             # breaker is untouched — a hit is evidence about the store,
             # not about Viterbi health.
             for p in batch:
-                if p.key not in hits:
+                if p.ticket not in hits:
                     continue
                 self._bump("served")
                 self._bump("store_hits")
                 spans = tuple(
                     (start, end, label)
-                    for start, end, label in self.scheme.decode(hits[p.key])
+                    for start, end, label in self.scheme.decode(hits[p.ticket])
                 )
-                self._done[p.key] = TagResult(
+                self._done[p.ticket] = TagResult(
                     p.sentence.tokens, spans,
                     oov_rate=self._oov_rate(p.sentence.tokens),
-                    modified=p.modified, queue_wait_ms=waits[p.key],
+                    modified=p.modified, queue_wait_ms=waits[p.ticket],
                 )
-                self._trace_served(p, waits[p.key], "ok", cached=True)
+                self._trace_served(p, waits[p.ticket], "ok", cached=True)
                 if self.ladder is not None:
                     self.ladder.observe(False)
-            batch = [p for p in batch if p.key not in hits]
+            batch = [p for p in batch if p.ticket not in hits]
             if not batch:
                 return
         if mode == MODE_CACHED:
             # Cached-only brownout: anything the store cannot answer is
             # shed rather than spending decode budget under pressure.
             for p in batch:
-                self._shed(p.key, p.priority,
+                self._shed(p.ticket, p.priority,
                            f"brownout: cached-only at level "
                            f"{self.ladder.pressure}; no stored path",
-                           wait_ms=waits[p.key], trace=p.trace)
+                           wait_ms=waits[p.ticket], trace=p.trace)
             return
         sentences = [p.sentence for p in batch]
         try:
@@ -757,15 +723,15 @@ class TaggingService:
             for p in batch:
                 self._bump("served")
                 self._bump("degraded")
-                self._done[p.key] = TagResult(
+                self._done[p.ticket] = TagResult(
                     p.sentence.tokens, (), degraded=True,
                     oov_rate=self._oov_rate(p.sentence.tokens),
                     modified=p.modified,
                     note=f"decode failed ({type(exc).__name__}: {exc}); "
                          f"no spans served",
-                    queue_wait_ms=waits[p.key],
+                    queue_wait_ms=waits[p.ticket],
                 )
-                self._trace_served(p, waits[p.key], "error", degraded=True,
+                self._trace_served(p, waits[p.ticket], "error", degraded=True,
                                    decode_ms=decode_ms)
                 if self.ladder is not None:
                     self.ladder.observe(True)
@@ -785,7 +751,7 @@ class TaggingService:
                     # Only full-fidelity Viterbi paths are cached, so a
                     # future hit never replays a degraded answer.
                     store.put_json(
-                        store_keys[p.key], [int(t) for t in path]
+                        store_keys[p.ticket], [int(t) for t in path]
                     )
             elif status in FAILURE_STATUSES:
                 self.breaker.record_failure()
@@ -803,13 +769,13 @@ class TaggingService:
                 (start, end, label)
                 for start, end, label in self.scheme.decode(path)
             )
-            self._done[p.key] = TagResult(
+            self._done[p.ticket] = TagResult(
                 p.sentence.tokens, spans, degraded=degraded,
                 oov_rate=self._oov_rate(p.sentence.tokens),
                 modified=p.modified, note=note,
-                queue_wait_ms=waits[p.key],
+                queue_wait_ms=waits[p.ticket],
             )
-            self._trace_served(p, waits[p.key], status, degraded=degraded,
+            self._trace_served(p, waits[p.ticket], status, degraded=degraded,
                                decode_ms=decode_ms)
             if self.ladder is not None:
                 self.ladder.observe(status in (OVERRUN, DEGRADED_DEADLINE))

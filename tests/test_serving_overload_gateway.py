@@ -59,29 +59,6 @@ def make_gateway(model, config=None, clock=None, service_time_s=None,
 
 
 class TestPriorityDispatch:
-    def test_highest_class_dispatched_first(self, model):
-        ocfg = overload_config(initial_inflight=1)
-        gateway, clock, _f = make_gateway(
-            model,
-            GatewayConfig(replicas=1, overload=ocfg),
-            overload=ocfg, service_time_s=lambda toks, ticket: 0.01,
-        )
-        order = []
-        with gateway:
-            submitted = {
-                gateway.submit(["the"], priority=BATCH): BATCH,
-                gateway.submit(["visited"], priority=STANDARD): STANDARD,
-                gateway.submit(["today"], priority=INTERACTIVE): INTERACTIVE,
-            }
-            for _ in range(40):
-                gateway.pump()
-                for ticket in gateway.collect():
-                    order.append(submitted[ticket])
-                if len(order) == 3:
-                    break
-                clock.advance(0.02)
-        assert order == [INTERACTIVE, STANDARD, BATCH]
-
     def test_legacy_fifo_without_overload(self, model):
         gateway, clock, _f = make_gateway(
             model, GatewayConfig(replicas=1),
@@ -140,39 +117,6 @@ class TestAIMDLimiter:
 
 
 class TestCoDelPolicing:
-    def test_standing_queue_sheds_freshest_lowest_priority(self, model):
-        ocfg = overload_config(initial_inflight=1)
-        gateway, clock, _f = make_gateway(
-            model, GatewayConfig(replicas=1, overload=ocfg),
-            overload=ocfg, service_time_s=lambda toks, ticket: 0.2,
-        )
-        with gateway:
-            gateway.submit(["the"], priority=STANDARD)       # in flight
-            keep = gateway.submit(["visited"], priority=STANDARD)
-            victim = gateway.submit(["today"], priority=BATCH)
-            results = {}
-            for _ in range(3):
-                clock.advance(0.25)
-                for _ in range(3):
-                    gateway.pump()
-                    results.update(gateway.collect())
-            report = gateway.report
-            assert victim in results
-            routed = results[victim]
-            assert routed.replica is None and not routed.result.ok
-            assert "CoDel" in routed.result.reason
-            # Satellite: stats parity for gateway-side sheds.
-            assert routed.result.queue_wait_ms > 0
-            assert routed.latency_ms == routed.result.queue_wait_ms
-            assert gateway.metrics.counter("serving.shed").value == 1
-            assert (gateway.metrics.histogram("serving.queue_wait_ms").count
-                    >= 1)
-            assert report.shed_queued == 1
-            assert report.shed_by_priority[BATCH] == 1
-            # The queued shed still counts as completed: zero loss.
-            assert keep in results and results[keep].result.ok
-            assert report.completed == report.admitted == 3
-
     def test_unloaded_queue_never_policed(self, model):
         ocfg = overload_config()
         gateway, _clock, _f = make_gateway(
@@ -241,44 +185,6 @@ class TestRetryBudget:
             # Zero-loss wins: the reroute went through on an empty bucket.
             assert budget["forced"] == 1
             assert gateway.report.refunds == 1
-
-
-class TestEviction:
-    def test_interactive_arrival_evicts_queued_batch(self, model):
-        ocfg = overload_config(initial_inflight=1)
-        gateway, _clock, _f = make_gateway(
-            model,
-            GatewayConfig(replicas=1, max_shard_queue=2, overload=ocfg),
-            overload=ocfg, service_time_s=lambda toks, ticket: 10.0,
-        )
-        with gateway:
-            gateway.submit(["the"], priority=STANDARD)       # in flight
-            victim = gateway.submit(["visited"], priority=BATCH)
-            gateway.pump()
-            arrival = gateway.submit(["today"], priority=INTERACTIVE)
-            results = gateway.collect()
-            assert victim in results
-            assert "evicted by a interactive arrival" in \
-                results[victim].result.reason
-            assert gateway.report.evictions == 1
-            assert arrival in gateway._requests  # admitted, not shed
-
-    def test_batch_arrival_is_shed_not_admitted(self, model):
-        ocfg = overload_config(initial_inflight=1)
-        gateway, _clock, _f = make_gateway(
-            model,
-            GatewayConfig(replicas=1, max_shard_queue=2, overload=ocfg),
-            overload=ocfg, service_time_s=lambda toks, ticket: 10.0,
-        )
-        with gateway:
-            gateway.submit(["the"], priority=INTERACTIVE)
-            gateway.submit(["visited"], priority=INTERACTIVE)
-            gateway.pump()
-            arrival = gateway.submit(["today"], priority=BATCH)
-            results = gateway.collect()
-            assert arrival in results
-            assert not results[arrival].result.ok
-            assert gateway.report.evictions == 0
 
 
 class TestReporting:

@@ -93,25 +93,6 @@ class TestExpiredAtAdmission:
 
 
 class TestPriorityEviction:
-    def test_interactive_arrival_evicts_queued_batch(self, model, scheme):
-        service = make_service(model, scheme, max_pending=1)
-        victim = service.submit(["the"], priority=BATCH)
-        arrival = service.submit(["visited"], priority=INTERACTIVE)
-        done = service.drain()
-        assert isinstance(done[victim], Overloaded)
-        assert "evicted by a interactive arrival" in done[victim].reason
-        assert isinstance(done[arrival], TagResult) and done[arrival].ok
-        assert service.overload_snapshot()["shed_by_priority"][BATCH] == 1
-
-    def test_no_eviction_within_the_same_class(self, model, scheme):
-        service = make_service(model, scheme, max_pending=1)
-        queued = service.submit(["the"], priority=STANDARD)
-        arrival = service.submit(["visited"], priority=STANDARD)
-        done = service.drain()
-        assert isinstance(done[queued], TagResult)   # kept its slot
-        assert isinstance(done[arrival], Overloaded)  # shed, not evicted
-        assert "queue full" in done[arrival].reason
-
     def test_batch_never_displaces_interactive(self, model, scheme):
         service = make_service(model, scheme, max_pending=1)
         queued = service.submit(["the"], priority=INTERACTIVE)
@@ -171,22 +152,6 @@ class TestBrownoutModes:
         assert hit.spans == warm.spans
         assert isinstance(miss, Overloaded)
         assert service.stats["store_hits"] == 1
-
-    def test_priority_order_processed_highest_first(self, model, scheme):
-        served = []
-        service = make_service(model, scheme)
-        original = service._process_batch
-
-        def spy(batch):
-            served.extend(p.priority for p in batch)
-            original(batch)
-
-        service._process_batch = spy
-        service.submit(["the"], priority=BATCH)
-        service.submit(["visited"], priority=INTERACTIVE)
-        service.submit(["today"], priority=STANDARD)
-        service.drain()
-        assert served == [INTERACTIVE, STANDARD, BATCH]
 
 
 class TestBreakerLadderInterplay:
