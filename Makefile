@@ -20,6 +20,7 @@ verify-serving:
 	    tests/test_serving_service.py \
 	    tests/test_data_lint.py \
 	    tests/test_crf_greedy.py \
+	    tests/test_infer_parity.py \
 	    tests/test_cli_serving.py -q
 
 verify-gateway:

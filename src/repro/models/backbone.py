@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, concatenate, matmul, reshape, zeros
+from repro.autodiff.tensor import (
+    Tensor, concatenate, matmul, no_grad, reshape, zeros,
+)
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
@@ -292,9 +294,10 @@ class CNNBiGRUCRF(Module):
                phi: Tensor | None = None) -> list[list[int]]:
         """Viterbi tag sequences for raw sentences (``[]`` for ``[]``).
 
-        Uses the batch-vectorised Viterbi kernel (bit-identical to the
-        per-sentence recursion) unless
-        :func:`repro.perf.fastpath.legacy_kernels` is active.
+        Emissions are computed under ``no_grad``: no tape is recorded and
+        the char-CNN takes its numpy path.  Uses the batch-vectorised
+        Viterbi kernel (bit-identical to the per-sentence recursion)
+        unless :func:`repro.perf.fastpath.legacy_kernels` is active.
         """
         from repro.perf.fastpath import batched_decode_enabled
 
@@ -304,10 +307,11 @@ class CNNBiGRUCRF(Module):
         self.eval()
         try:
             batch = self.encode(sentences)
-            if batched_decode_enabled():
-                scores = self.emission_scores(batch, phi)
-                return self.crf.viterbi_decode_batch(scores.data, batch.mask)
-            emissions = self.emissions(batch, phi)
+            with no_grad():
+                if batched_decode_enabled():
+                    scores = self.emission_scores(batch, phi)
+                    return self.crf.viterbi_decode_batch(scores.data, batch.mask)
+                emissions = self.emissions(batch, phi)
             return [self.crf.viterbi_decode(e.data) for e in emissions]
         finally:
             self.train(was_training)
@@ -323,13 +327,14 @@ class CNNBiGRUCRF(Module):
         """Deadline-aware batched decode: ``(tag_sequences, statuses)``.
 
         Emissions are computed once for the whole batch (the floor cost of
-        any answer); the per-sentence Viterbi pass then consults
-        ``deadline`` — any object with an ``expired`` property, normally a
-        :class:`repro.serving.Deadline` on a monotonic clock — and drops
-        to the greedy :meth:`LinearChainCRF.argmax_decode` once the budget
-        is spent, the caller's breaker is open (``allow_viterbi=False``)
-        or Viterbi raises.  See :mod:`repro.models.decoding` for the
-        status vocabulary and ``on_sentence`` fault-injection hook.
+        any answer), under ``no_grad``; the per-sentence Viterbi pass then
+        consults ``deadline`` — any object with an ``expired`` property,
+        normally a :class:`repro.serving.Deadline` on a monotonic clock —
+        and drops to the greedy :meth:`LinearChainCRF.argmax_decode` once
+        the budget is spent, the caller's breaker is open
+        (``allow_viterbi=False``) or Viterbi raises.  See
+        :mod:`repro.models.decoding` for the status vocabulary and
+        ``on_sentence`` fault-injection hook.
         """
         from repro.models.decoding import decode_emissions_within
 
@@ -339,7 +344,8 @@ class CNNBiGRUCRF(Module):
         self.eval()
         try:
             batch = self.encode(sentences)
-            emissions = self.emissions(batch, phi)
+            with no_grad():
+                emissions = self.emissions(batch, phi)
         finally:
             self.train(was_training)
         return decode_emissions_within(

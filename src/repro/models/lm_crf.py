@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autodiff.tensor import Tensor, matmul
+from repro.autodiff.tensor import Tensor, matmul, no_grad
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
 from repro.data.sentence import Sentence
 from repro.data.tags import TagScheme
@@ -70,9 +70,9 @@ class LMTagger(Module):
 
         if not sentences:
             return []
-        paths, _statuses = decode_emissions_within(
-            self.crf, self.emissions(sentences)
-        )
+        with no_grad():
+            emissions = self.emissions(sentences)
+        paths, _statuses = decode_emissions_within(self.crf, emissions)
         return paths
 
     def decode_within(
@@ -92,7 +92,8 @@ class LMTagger(Module):
 
         if not sentences:
             return [], []
-        emissions = self.emissions(sentences)
+        with no_grad():
+            emissions = self.emissions(sentences)
         return decode_emissions_within(
             self.crf, emissions, deadline=deadline,
             on_sentence=on_sentence, allow_viterbi=allow_viterbi,

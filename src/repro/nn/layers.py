@@ -57,14 +57,18 @@ class Embedding(Module):
             data[padding_idx] = 0.0
         self.weight = Parameter(data)
 
-    def forward(self, ids) -> Tensor:
+    def check_ids(self, ids) -> np.ndarray:
+        """``ids`` as an index array; ``IndexError`` if any is out of range."""
         ids = np.asarray(ids, dtype=np.intp)
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_embeddings):
             raise IndexError(
                 f"embedding ids out of range [0, {self.num_embeddings}): "
                 f"min={ids.min()}, max={ids.max()}"
             )
-        return getitem(self.weight, ids)
+        return ids
+
+    def forward(self, ids) -> Tensor:
+        return getitem(self.weight, self.check_ids(ids))
 
     def __repr__(self) -> str:
         return f"Embedding({self.num_embeddings}, {self.embedding_dim})"

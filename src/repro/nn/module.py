@@ -89,8 +89,10 @@ class Module:
     # Train / eval mode
     # ------------------------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        for _name, mod in self.named_modules():
-            object.__setattr__(mod, "training", mode)
+        # Direct recursion: named_modules() would build dotted names.
+        object.__setattr__(self, "training", mode)
+        for child in object.__getattribute__(self, "_modules").values():
+            Module.train(child, mode)
         return self
 
     def eval(self) -> "Module":

@@ -33,7 +33,8 @@ inputs:
   ``warm_misses`` keys record the hit traffic of one warm pass.
 * ``serve_throughput`` — end-to-end warm :class:`TaggingService`
   request loop (no store): every fast path off vs the shipped defaults
-  (fused recurrent kernel + batched decode).  Its extra
+  (fused recurrent kernel + batched decode).  Both sides decode
+  tape-free, so the ratio holds no tape overhead.  Its extra
   ``sentences_per_s`` key is the fast-path throughput, the headline
   serving number for encode-heavy inference-time adaptation.
 
