@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-reliability verify-serving verify-gateway verify-overload verify-stackbench verify-chaos verify-obs verify-store verify-trace
+.PHONY: install test bench bench-smoke bench-tables-smoke examples lint verify-reliability verify-serving verify-gateway verify-overload verify-stackbench verify-chaos verify-obs verify-store verify-trace verify-perf
 
 install:
 	$(PYTHON) setup.py develop
@@ -67,6 +67,15 @@ verify-obs:
 	PYTHONPATH=src $(PYTHON) -m repro experiment figure_adaptation \
 	    --preset smoke --telemetry /tmp/verify_obs.jsonl > /dev/null
 	PYTHONPATH=src $(PYTHON) -m repro obs report /tmp/verify_obs.jsonl
+
+verify-perf:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_perf_kernels.py \
+	    tests/test_perf_rnn_kernels.py \
+	    tests/test_perf_executor.py \
+	    tests/test_infer_parity.py -q
+	PYTHONPATH=src $(PYTHON) -m repro chaos soak \
+	    --scenario recurrent-kernel-parity --max-rounds 2 \
+	    --time-budget-s 120 --seed 0
 
 verify-trace:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_obs_reqtrace.py \

@@ -124,18 +124,12 @@ class LinearChainCRF(Module):
         ``emissions`` is ``(B, L, T)``; ``tags`` is ``(B, L)`` integer ids
         (values at padded positions are ignored); ``mask`` is ``(B, L)``
         with 1 for real tokens.  Vectorising across the batch keeps the
-        autodiff graph size proportional to L rather than B * L.
-
-        When the fused fast path is enabled (see
-        :func:`repro.perf.fastpath.fastpath`) this delegates to
-        :meth:`batch_nll_fast`, which computes the same mean NLL and
-        first-order gradients as a single tape node.
+        autodiff graph size proportional to L rather than B * L, and the
+        graph supports second-order differentiation;
+        :meth:`batch_nll_fast` computes the same mean NLL and first-order
+        gradients as a single tape node.
         """
         from repro.autodiff.tensor import where
-        from repro.perf.fastpath import fused_nll_enabled
-
-        if fused_nll_enabled():
-            return self.batch_nll_fast(emissions, tags, mask)
 
         tags = np.asarray(tags, dtype=np.intp)
         mask = np.asarray(mask, dtype=float)
@@ -211,24 +205,6 @@ class LinearChainCRF(Module):
             mask,
         )
 
-    def argmax_decode_batch(self, emissions, mask) -> list[list[int]]:
-        """Vectorised greedy decode over padded ``(B, L, T)`` emissions.
-
-        Bit-identical to calling :meth:`argmax_decode` on each unpadded
-        row, including the end-score bonus at each sentence's own last
-        real token.
-        """
-        from repro.perf.kernels import argmax_decode_batch
-
-        self._check_num_tags(emissions)
-        return argmax_decode_batch(
-            self.transitions.data + self._transition_penalty,
-            self.start_scores.data + self._start_penalty,
-            self.end_scores.data,
-            emissions,
-            mask,
-        )
-
     def _check_num_tags(self, emissions) -> None:
         data = emissions.data if isinstance(emissions, Tensor) else emissions
         num_tags = np.asarray(data).shape[-1]
@@ -237,16 +213,21 @@ class LinearChainCRF(Module):
                 f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
             )
 
-    def viterbi_decode(self, emissions: np.ndarray) -> list[int]:
-        """Most-likely tag sequence for ``(L, T)`` emission scores."""
+    def _sentence_emissions(self, emissions) -> np.ndarray:
+        """One sentence's ``(L, T)`` scores as an array, checked like a
+        batch row: the tag count must match and ``L`` must be positive."""
         emissions = np.asarray(
             emissions.data if isinstance(emissions, Tensor) else emissions
         )
+        self._check_num_tags(emissions)
+        if emissions.shape[0] == 0:
+            raise ValueError("every sequence must have at least one token")
+        return emissions
+
+    def viterbi_decode(self, emissions: np.ndarray) -> list[int]:
+        """Most-likely tag sequence for ``(L, T)`` emission scores."""
+        emissions = self._sentence_emissions(emissions)
         length, num_tags = emissions.shape
-        if num_tags != self.num_tags:
-            raise ValueError(
-                f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
-            )
         trans = self.transitions.data + self._transition_penalty
         start = self.start_scores.data + self._start_penalty
         score = start + emissions[0]
@@ -273,14 +254,8 @@ class LinearChainCRF(Module):
         answer the serving layer falls back to when a request's deadline
         cannot afford full Viterbi (see ``docs/serving.md``).
         """
-        emissions = np.asarray(
-            emissions.data if isinstance(emissions, Tensor) else emissions
-        )
+        emissions = self._sentence_emissions(emissions)
         length, num_tags = emissions.shape
-        if num_tags != self.num_tags:
-            raise ValueError(
-                f"emissions have {num_tags} tags, CRF expects {self.num_tags}"
-            )
         trans = self.transitions.data + self._transition_penalty
         start = self.start_scores.data + self._start_penalty
         scores = start + emissions[0]

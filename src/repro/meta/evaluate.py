@@ -111,7 +111,6 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
                     budget_seconds: float | None = None,
                     min_episodes: int = 1,
                     workers: int = 0,
-                    fast: bool = False,
                     task_timeout_s: float | None = None,
                     max_attempts: int = 3,
                     fault_injector=None) -> EvaluationResult:
@@ -137,10 +136,6 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
       scores).  Under a budget, parallel evaluation proceeds in chunks
       of ``workers`` episodes with the deadline checked between chunks.
 
-    ``fast`` enables the fused CRF NLL fast path
-    (:func:`repro.perf.fastpath.fastpath`) around each adaptation —
-    valid for the first-order inner loops used at evaluation time.
-
     With ``workers >= 1`` the run is *self-healing*: episodes execute
     under the supervised pool with per-task deadlines
     (``task_timeout_s``), up to ``max_attempts`` deterministic retries
@@ -152,19 +147,15 @@ def evaluate_method(adapter: Adapter, episodes: list[Episode],
     :attr:`EvaluationResult.execution`.  ``fault_injector`` is the
     test-only chaos hook handed to every worker.
     """
-    import contextlib
     import time
 
     from repro import obs
     from repro.perf.executor import ExecutionReport, EpisodeExecutor
-    from repro.perf.fastpath import fastpath
 
     def score_episode(episode: Episode, index: int) -> float:
         if workers >= 1:
             _reseed_for_episode(adapter, index)
-        context = fastpath() if fast else contextlib.nullcontext()
-        with context:
-            predictions = adapter.predict_episode(episode)
+        predictions = adapter.predict_episode(episode)
         gold = [
             [span.as_tuple() for span in sent.spans] for sent in episode.query
         ]

@@ -173,7 +173,7 @@ class CNNBiGRUCRF(Module):
         frozen, so this pass is constant across inner steps and callers
         may compute it once and replay it via the ``base`` argument of
         :meth:`features` / the loss methods (only valid while dropout is
-        inactive; see ``repro.perf.fastpath``).
+        inactive; see ``FewNER._inner_adapt``).
         """
         b, length = batch.word_ids.shape
         parts = [self.word_embedding(batch.word_ids)]
@@ -294,27 +294,11 @@ class CNNBiGRUCRF(Module):
                phi: Tensor | None = None) -> list[list[int]]:
         """Viterbi tag sequences for raw sentences (``[]`` for ``[]``).
 
-        Emissions are computed under ``no_grad``: no tape is recorded and
-        the char-CNN takes its numpy path.  Uses the batch-vectorised
-        Viterbi kernel (bit-identical to the per-sentence recursion)
-        unless :func:`repro.perf.fastpath.legacy_kernels` is active.
+        :meth:`decode_within` with no deadline, hook or breaker, so the
+        batch takes the vectorised Viterbi kernel (bit-identical to the
+        per-sentence recursion).
         """
-        from repro.perf.fastpath import batched_decode_enabled
-
-        if not sentences:
-            return []
-        was_training = self.training
-        self.eval()
-        try:
-            batch = self.encode(sentences)
-            with no_grad():
-                if batched_decode_enabled():
-                    scores = self.emission_scores(batch, phi)
-                    return self.crf.viterbi_decode_batch(scores.data, batch.mask)
-                emissions = self.emissions(batch, phi)
-            return [self.crf.viterbi_decode(e.data) for e in emissions]
-        finally:
-            self.train(was_training)
+        return self.decode_within(sentences, phi)[0]
 
     def decode_within(
         self,

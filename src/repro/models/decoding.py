@@ -57,20 +57,14 @@ def decode_emissions_within(
     run before each Viterbi attempt — fault injectors use it to raise or
     to advance a manual clock, simulating a failing or slow decoder.
 
-    When no deadline or hook is in play and Viterbi is allowed, the whole
-    batch goes through the vectorised kernel in one shot (statuses all
-    ``FULL``) — bit-identical paths, no per-sentence Python loop.
+    This is the one place that chooses between batched and per-sentence
+    decoding, and it chooses from its inputs only: when no deadline or
+    hook is in play and Viterbi is allowed, the whole batch goes through
+    the vectorised kernel in one shot (statuses all ``FULL``) —
+    bit-identical paths, no per-sentence Python loop.
     """
-    from repro.perf.fastpath import batched_decode_enabled
-
     emissions = list(emissions)
-    if (
-        deadline is None
-        and on_sentence is None
-        and allow_viterbi
-        and emissions
-        and batched_decode_enabled()
-    ):
+    if deadline is None and on_sentence is None and allow_viterbi and emissions:
         arrays = [
             np.asarray(e.data if hasattr(e, "data") else e) for e in emissions
         ]

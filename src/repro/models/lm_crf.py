@@ -62,18 +62,10 @@ class LMTagger(Module):
     def decode(self, sentences: list[Sentence]) -> list[list[int]]:
         """Viterbi tag sequences (``[]`` for an empty batch).
 
-        Routes through the batched kernel via
-        :func:`repro.models.decoding.decode_emissions_within` when the
-        fast decode path is on; paths are bit-identical either way.
+        :meth:`decode_within` with no deadline, hook or breaker, so the
+        batch takes the vectorised Viterbi kernel.
         """
-        from repro.models.decoding import decode_emissions_within
-
-        if not sentences:
-            return []
-        with no_grad():
-            emissions = self.emissions(sentences)
-        paths, _statuses = decode_emissions_within(self.crf, emissions)
-        return paths
+        return self.decode_within(sentences)[0]
 
     def decode_within(
         self,

@@ -2,14 +2,15 @@
 
 Three coordinated pieces:
 
-* :mod:`repro.perf.kernels` + :mod:`repro.perf.rnn_kernels` +
-  :mod:`repro.perf.fastpath` — batched CRF Viterbi/greedy decode
-  (bit-identical to the per-sentence recursions, on by default), a fused
-  first-order CRF NLL (opt-in via
-  :func:`~repro.perf.fastpath.fastpath`), fused single-tape-node GRU/LSTM
-  scans with hand-derived BPTT backwards (on by default, bit-identical
-  in outputs *and* gradients), and the frozen-encoder adaptation cache
-  (on by default, bit-identical);
+* :mod:`repro.perf.kernels` + :mod:`repro.perf.rnn_kernels` — batched
+  CRF Viterbi decode (bit-identical to the per-sentence recursion), a
+  fused first-order CRF NLL (:meth:`~repro.crf.LinearChainCRF.batch_nll_fast`)
+  and fused single-tape-node GRU/LSTM scans with hand-derived BPTT
+  backwards (bit-identical in outputs *and* gradients).  The recurrent
+  kernel is the one switchable fast path
+  (:func:`~repro.perf.fastpath.recurrent_kernel`, on by default, off for
+  second-order work); batched decode and the frozen-encoder adaptation
+  cache select themselves from their inputs;
 * :mod:`repro.perf.executor` — a fork-based, deterministic, *supervised*
   worker pool (per-task deadlines, crash/hang detection, bounded
   retries, poison-episode quarantine, :class:`ExecutionReport`
@@ -28,30 +29,13 @@ from repro.perf.executor import (
     ExecutorError,
     TaskRecord,
 )
-from repro.perf.fastpath import (
-    DEFAULT_FASTPATH_STATE,
-    adaptation_cache_enabled,
-    batched_decode_enabled,
-    fastpath,
-    fastpath_state,
-    fused_nll_enabled,
-    legacy_kernels,
-    recurrent_kernel,
-    recurrent_kernel_enabled,
-)
+from repro.perf.fastpath import recurrent_kernel, recurrent_kernel_enabled
 
 __all__ = [
     "EpisodeExecutor",
     "ExecutionReport",
     "ExecutorError",
     "TaskRecord",
-    "DEFAULT_FASTPATH_STATE",
-    "adaptation_cache_enabled",
-    "batched_decode_enabled",
-    "fastpath",
-    "fastpath_state",
-    "fused_nll_enabled",
-    "legacy_kernels",
     "recurrent_kernel",
     "recurrent_kernel_enabled",
 ]

@@ -6,8 +6,8 @@ path, reconstructed where the old code no longer exists) against the
 inputs:
 
 * ``crf_nll``      — padded-batch CRF NLL forward+backward: autodiff
-  graph (``batch_nll_padded`` with the fast path off) vs the fused
-  analytic kernel (``batch_nll_fast``);
+  graph (``batch_nll_padded``) vs the fused analytic kernel
+  (``batch_nll_fast``);
 * ``crf_decode``   — Viterbi: per-sentence recursion vs the batched
   kernel;
 * ``rnn_forward``  — BiGRU forward: per-step cell calls with per-step
@@ -15,10 +15,11 @@ inputs:
   (:mod:`repro.perf.rnn_kernels`);
 * ``rnn_backward`` — the same pair, forward plus backward (the fused
   side backprops through one node with the hand-derived BPTT);
-* ``fewner_inner`` — one FEWNER adapt-and-predict episode, legacy vs
-  fast kernels;
-* ``episode_eval`` — end-to-end ``evaluate_method``: legacy kernels and
-  the serial loop vs fast kernels with the episode-parallel executor;
+* ``fewner_inner`` — one FEWNER adapt-and-predict episode under
+  ``recurrent_kernel(False)`` vs the shipped defaults;
+* ``episode_eval`` — end-to-end ``evaluate_method``:
+  ``recurrent_kernel(False)`` and the serial loop vs the shipped
+  defaults with the episode-parallel executor;
 * ``telemetry_overhead`` — ``episode_eval`` with telemetry off
   (baseline) vs an active in-memory telemetry session (fast); its extra
   ``overhead_pct`` key is the relative cost of *enabled* telemetry.
@@ -32,9 +33,9 @@ inputs:
   session open — lock, recovery scan, mmap).  Its extra ``warm_hits`` /
   ``warm_misses`` keys record the hit traffic of one warm pass.
 * ``serve_throughput`` — end-to-end warm :class:`TaggingService`
-  request loop (no store): every fast path off vs the shipped defaults
-  (fused recurrent kernel + batched decode).  Both sides decode
-  tape-free, so the ratio holds no tape overhead.  Its extra
+  request loop (no store): ``recurrent_kernel(False)`` vs the shipped
+  defaults.  Both sides decode tape-free through the same decode path,
+  so the ratio is the fused recurrent kernel's alone.  Its extra
   ``sentences_per_s`` key is the fast-path throughput, the headline
   serving number for encode-heavy inference-time adaptation.
 
@@ -145,14 +146,12 @@ def _episode_fixture(seed: int, n_episodes: int) -> _EpisodeFixture:
 # ----------------------------------------------------------------------
 def _bench_crf_nll(reps: int, workers: int, seed: int) -> dict:
     from repro.autodiff.tensor import Tensor
-    from repro.perf.fastpath import legacy_kernels
 
     crf, emissions, tags, mask = _crf_inputs(seed)
 
     def baseline():
-        with legacy_kernels():
-            e = Tensor(emissions, requires_grad=True)
-            crf.batch_nll_padded(e, tags, mask).backward()
+        e = Tensor(emissions, requires_grad=True)
+        crf.batch_nll_padded(e, tags, mask).backward()
 
     def fast():
         e = Tensor(emissions, requires_grad=True)
@@ -245,36 +244,33 @@ def _bench_rnn_backward(reps: int, workers: int, seed: int) -> dict:
 
 
 def _bench_fewner_inner(reps: int, workers: int, seed: int) -> dict:
-    from repro.perf.fastpath import fastpath, legacy_kernels
+    from repro.perf.fastpath import recurrent_kernel
 
     fixture = _episode_fixture(seed, 1)
     episode = fixture.episodes[0]
 
     def baseline():
-        with legacy_kernels():
+        with recurrent_kernel(False):
             fixture.adapter.predict_episode(episode)
 
     def fast():
-        with fastpath():
-            fixture.adapter.predict_episode(episode)
+        fixture.adapter.predict_episode(episode)
 
     return _paired(baseline, fast, reps)
 
 
 def _bench_episode_eval(reps: int, workers: int, seed: int) -> dict:
     from repro.meta.evaluate import evaluate_method
-    from repro.perf.fastpath import legacy_kernels
+    from repro.perf.fastpath import recurrent_kernel
 
     fixture = _episode_fixture(seed, 4)
 
     def baseline():
-        with legacy_kernels():
+        with recurrent_kernel(False):
             evaluate_method(fixture.adapter, fixture.episodes)
 
     def fast():
-        evaluate_method(
-            fixture.adapter, fixture.episodes, workers=workers, fast=True
-        )
+        evaluate_method(fixture.adapter, fixture.episodes, workers=workers)
 
     return _paired(baseline, fast, reps)
 
@@ -286,7 +282,7 @@ def _bench_telemetry_overhead(reps: int, workers: int, seed: int) -> dict:
     fixture = _episode_fixture(seed, 4)
 
     def baseline():
-        evaluate_method(fixture.adapter, fixture.episodes, fast=True)
+        evaluate_method(fixture.adapter, fixture.episodes)
 
     def instrumented():
         # Request tracing is armed too, so the enabled-telemetry cost
@@ -294,7 +290,7 @@ def _bench_telemetry_overhead(reps: int, workers: int, seed: int) -> dict:
         from repro.obs.reqtrace import request_tracing
 
         with obs.telemetry_session(), request_tracing():
-            evaluate_method(fixture.adapter, fixture.episodes, fast=True)
+            evaluate_method(fixture.adapter, fixture.episodes)
 
     result = _paired(baseline, instrumented, reps)
     base = result["baseline"]["median_ms"]
@@ -354,7 +350,7 @@ def _bench_serve_throughput(reps: int, workers: int, seed: int) -> dict:
     from repro.data.tags import TagScheme
     from repro.data.vocab import CharVocabulary, Vocabulary
     from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
-    from repro.perf.fastpath import legacy_kernels
+    from repro.perf.fastpath import recurrent_kernel
     from repro.serving import TaggingService
     from repro.serving.loadgen import synthetic_requests
 
@@ -374,7 +370,7 @@ def _bench_serve_throughput(reps: int, workers: int, seed: int) -> dict:
             service.tag(list(tokens))
 
     def baseline():
-        with legacy_kernels():
+        with recurrent_kernel(False):
             serve_all()
 
     result = _paired(baseline, serve_all, reps)
@@ -404,7 +400,7 @@ def telemetry_overhead_pct(seed: int = 0, rounds: int = 3,
     fixture = _episode_fixture(seed, n_episodes)
 
     def run_eval():
-        evaluate_method(fixture.adapter, fixture.episodes, fast=True)
+        evaluate_method(fixture.adapter, fixture.episodes)
 
     run_eval()  # warm-up
     best = min(

@@ -1,42 +1,24 @@
-"""Thread-local switches that select the performance fast paths.
+"""The one fast-path switch: the fused recurrent kernel.
 
-Four independent toggles, scoped with context managers so callers can
-never leak a mode change past their own frame:
+**Recurrent kernel** (default *on*): GRU/LSTM layers unroll the whole
+sequence inside one fused numpy scan registered as a *single* tape node
+with a hand-derived BPTT backward (``repro.perf.rnn_kernels``), instead
+of emitting ~24 tape ops per timestep.  The fused scan performs the same
+float operations in the same order as the tape, so outputs *and*
+parameter gradients are bit-identical — but the analytic backward is
+first-order only; second-order differentiation through it is rejected
+at backprop time.  Second-order MAML turns it off around its inner loop,
+which differentiates through gradients that cross the encoder.
 
-* **Batched decode** (default *on*): Viterbi / greedy decoding of a batch
-  runs as one vectorised recursion over ``(B, L, T)`` score tensors
-  instead of a per-sentence Python loop.  The batched kernels perform the
-  same float additions and the same ``argmax`` tie-breaking as the
-  per-sentence recursions, so the decoded paths are bit-identical and the
-  switch exists only for benchmarking and parity testing
-  (:func:`legacy_kernels`).
-* **Fused CRF NLL** (default *off*): the batched negative log-likelihood
-  is computed by one fused numpy kernel with an analytic first-order
-  gradient (forward-backward marginals) instead of a composite autodiff
-  graph.  This collapses ``O(L)`` tape nodes into one and is the main
-  training/adaptation speedup, but the analytic gradient is a *constant*
-  with respect to the tape — second-order differentiation through it is
-  undefined and is rejected at backprop time.  Enable it with
-  :func:`fastpath` around first-order work only (evaluation-time
-  adaptation, supervised training, benchmarking).
-* **Recurrent kernel** (default *on*): GRU/LSTM layers unroll the whole
-  sequence inside one fused numpy scan registered as a *single* tape
-  node with a hand-derived BPTT backward (``repro.perf.rnn_kernels``),
-  instead of emitting ~24 tape ops per timestep.  The fused scan performs
-  the same float operations in the same order as the tape, so outputs
-  *and* parameter gradients are bit-identical — but like the fused NLL
-  the analytic backward is first-order only; second-order
-  differentiation through it is rejected at backprop time.
-* **Adaptation cache** (default *on*): during first-order, dropout-free
-  inner-loop adaptation the φ-independent encoder pass (embeddings,
-  char-CNN, BiGRU) is computed once per episode and reused as a
-  constant across the inner gradient steps.  θ is frozen there and its
-  gradients are discarded, so the cached activations are bit-identical
-  to recomputing them — the losses, φ gradients and final predictions
-  do not change.  The switch exists for benchmarking and parity tests.
+Every other fast path selects itself from what it can observe:
+:func:`repro.models.decoding.decode_emissions_within` decodes a batch in
+one vectorised kernel unless a deadline, a per-sentence hook or an open
+breaker asks for per-sentence decisions, and FEWNER's inner loop reuses
+the frozen encoder pass whenever it is first-order and dropout-free.
 
-All switches are thread-local; a forked worker process inherits the
-state its parent had at fork time.
+The switch is thread-local, scoped with a context manager so callers can
+never leak a mode change past their own frame; a forked worker process
+inherits the state its parent had at fork time.
 """
 
 from __future__ import annotations
@@ -47,60 +29,9 @@ import threading
 _state = threading.local()
 
 
-def fused_nll_enabled() -> bool:
-    """Whether the fused first-order CRF NLL kernel is active."""
-    return getattr(_state, "fused_nll", False)
-
-
-def batched_decode_enabled() -> bool:
-    """Whether batch-vectorised Viterbi/greedy decoding is active."""
-    return getattr(_state, "batched_decode", True)
-
-
-def adaptation_cache_enabled() -> bool:
-    """Whether the frozen-encoder adaptation cache is active."""
-    return getattr(_state, "adaptation_cache", True)
-
-
 def recurrent_kernel_enabled() -> bool:
     """Whether the fused single-node recurrent (GRU/LSTM) kernel is active."""
     return getattr(_state, "recurrent_kernel", True)
-
-
-#: The documented default of every switch; chaos invariants compare
-#: :func:`fastpath_state` against this to prove no scenario leaked a
-#: mode change past its own frame.
-DEFAULT_FASTPATH_STATE = {
-    "fused_nll": False,
-    "batched_decode": True,
-    "adaptation_cache": True,
-    "recurrent_kernel": True,
-}
-
-
-def fastpath_state() -> dict:
-    """Snapshot of every fast-path switch in this thread."""
-    return {
-        "fused_nll": fused_nll_enabled(),
-        "batched_decode": batched_decode_enabled(),
-        "adaptation_cache": adaptation_cache_enabled(),
-        "recurrent_kernel": recurrent_kernel_enabled(),
-    }
-
-
-@contextlib.contextmanager
-def fastpath(enabled: bool = True):
-    """Enable (or disable) the fused CRF NLL kernel inside the block.
-
-    First-order only: calling ``grad(..., create_graph=True)`` through a
-    loss produced under this context raises ``RuntimeError``.
-    """
-    prev = fused_nll_enabled()
-    _state.fused_nll = bool(enabled)
-    try:
-        yield
-    finally:
-        _state.fused_nll = prev
 
 
 @contextlib.contextmanager
@@ -110,7 +41,8 @@ def recurrent_kernel(enabled: bool = True):
     First-order only: differentiating *through* a gradient that crossed
     the fused scan (``create_graph=True`` and the RNN on the path to a
     requested input) raises ``RuntimeError``; disable the kernel around
-    such work instead.
+    such work instead.  ``recurrent_kernel(False)`` is also the reference
+    side of the parity tests and of the ``repro perf bench`` baselines.
     """
     prev = recurrent_kernel_enabled()
     _state.recurrent_kernel = bool(enabled)
@@ -118,28 +50,3 @@ def recurrent_kernel(enabled: bool = True):
         yield
     finally:
         _state.recurrent_kernel = prev
-
-
-@contextlib.contextmanager
-def legacy_kernels():
-    """Run with every fast path off: per-sentence decode, composite NLL,
-    per-timestep recurrent tape ops.
-
-    Used by the benchmark harness to time the pre-fastpath implementations
-    and by parity tests as the reference side.
-    """
-    prev = (
-        fused_nll_enabled(),
-        batched_decode_enabled(),
-        adaptation_cache_enabled(),
-        recurrent_kernel_enabled(),
-    )
-    _state.fused_nll = False
-    _state.batched_decode = False
-    _state.adaptation_cache = False
-    _state.recurrent_kernel = False
-    try:
-        yield
-    finally:
-        (_state.fused_nll, _state.batched_decode,
-         _state.adaptation_cache, _state.recurrent_kernel) = prev

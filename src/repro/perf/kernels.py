@@ -1,12 +1,11 @@
-"""Batch-vectorised CRF kernels: decode, forward-backward, fused NLL.
+"""Batch-vectorised CRF kernels: Viterbi decode and the fused NLL.
 
 Every function here operates on a *padded* batch — emissions ``(B, L, T)``
 with a ``(B, L)`` mask whose first column is all ones — and replaces a
-per-sentence Python loop with one numpy op per timestep.  The decoding
-kernels reproduce the per-sentence recursions' float operations and
-``argmax`` tie-breaking exactly, so their outputs are bit-identical to
-:meth:`~repro.crf.LinearChainCRF.viterbi_decode` /
-:meth:`~repro.crf.LinearChainCRF.argmax_decode` applied sentence by
+per-sentence Python loop with one numpy op per timestep.  The Viterbi
+kernel reproduces the per-sentence recursion's float operations and
+``argmax`` tie-breaking exactly, so its output is bit-identical to
+:meth:`~repro.crf.LinearChainCRF.viterbi_decode` applied sentence by
 sentence.
 
 :func:`crf_nll_fused` additionally registers the analytic first-order
@@ -22,12 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autodiff.tensor import Tensor, _make, is_grad_enabled, mul
-from repro.perf.rnn_kernels import (  # noqa: F401  (recurrent fast paths, re-exported)
-    bigru_forward_batch,
-    bilstm_forward_batch,
-    gru_forward_batch,
-    lstm_forward_batch,
-)
 
 
 def _as_array(emissions) -> np.ndarray:
@@ -93,44 +86,9 @@ def viterbi_decode_batch(trans: np.ndarray, start: np.ndarray,
     return paths
 
 
-def argmax_decode_batch(trans: np.ndarray, start: np.ndarray,
-                        end: np.ndarray, emissions, mask) -> list[list[int]]:
-    """Vectorised greedy (beam-1) decode over a padded batch.
-
-    Matches :meth:`~repro.crf.LinearChainCRF.argmax_decode` per sentence,
-    including the end-score bonus applied at each sequence's own last
-    real token.
-    """
-    emissions = _as_array(emissions)
-    mask = _check_batch(emissions, mask)
-    batch, length, num_tags = emissions.shape
-    lengths = mask.sum(axis=1).astype(np.intp)
-    tags = np.zeros((batch, length), dtype=np.intp)
-    score = start[None, :] + emissions[:, 0, :]
-    score = score + np.where((lengths == 1)[:, None], end[None, :], 0.0)
-    tags[:, 0] = score.argmax(axis=1)
-    for t in range(1, length):
-        step = trans[tags[:, t - 1]] + emissions[:, t, :]
-        step = step + np.where((lengths == t + 1)[:, None], end[None, :], 0.0)
-        live = mask[:, t] > 0
-        tags[:, t] = np.where(live, step.argmax(axis=1), tags[:, t - 1])
-    return [
-        [int(tag) for tag in tags[b, : lengths[b]]] for b in range(batch)
-    ]
-
-
 # ----------------------------------------------------------------------
 # Forward-backward and the fused NLL
 # ----------------------------------------------------------------------
-def crf_forward_batch(trans: np.ndarray, start: np.ndarray, end: np.ndarray,
-                      emissions, mask) -> np.ndarray:
-    """Batched forward-algorithm log partition functions ``(B,)``."""
-    emissions = _as_array(emissions)
-    mask = _check_batch(emissions, mask)
-    alpha = _forward_table(trans, start, emissions, mask)
-    return _logsumexp(alpha[:, -1, :] + end[None, :], axis=1)
-
-
 def _forward_table(trans, start, emissions, mask) -> np.ndarray:
     """Alpha table ``(B, L, T)``; rows freeze past each true length.
 
@@ -269,8 +227,8 @@ def crf_nll_fused(crf, emissions: Tensor, tags, mask) -> Tensor:
                 raise RuntimeError(
                     "the fused CRF NLL kernel is first-order only: its "
                     "gradient is an analytic constant, so create_graph=True "
-                    "cannot differentiate through it — leave "
-                    "repro.perf.fastpath disabled for second-order work"
+                    "cannot differentiate through it — use "
+                    "LinearChainCRF.batch_nll_padded for second-order work"
                 )
             return mul(g, const_t)
 

@@ -12,8 +12,8 @@ and asserts *invariants* about what self-healing must have preserved:
 * the serving breaker opens under a fault burst and re-closes through
   its half-open probe once the burst ends;
 * no scenario leaks a fast-path mode change past its own frame
-  (:func:`repro.perf.fastpath.fastpath_state` must equal
-  :data:`repro.perf.fastpath.DEFAULT_FASTPATH_STATE` afterwards).
+  (:func:`repro.perf.fastpath.recurrent_kernel_enabled` must be back at
+  its default, on, afterwards).
 
 :func:`run_scenario` runs one scenario and returns a
 :class:`ScenarioResult`; :func:`run_soak` loops the scenario suite
@@ -1229,7 +1229,7 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioResult:
             f"unknown chaos scenario {name!r}; "
             f"available: {', '.join(SCENARIOS)}"
         )
-    from repro.perf.fastpath import DEFAULT_FASTPATH_STATE, fastpath_state
+    from repro.perf.fastpath import recurrent_kernel_enabled
 
     scenario = SCENARIOS[name]
     invariants: list[Invariant] = []
@@ -1244,9 +1244,8 @@ def run_scenario(name: str, seed: int = 0) -> ScenarioResult:
         details = scenario.run(seed, check) or {}
     except Exception as exc:  # scenario bodies must not take the run down
         error = f"{type(exc).__name__}: {exc}"
-    state = fastpath_state()
-    check("fastpath-defaults-intact", state == DEFAULT_FASTPATH_STATE,
-          f"leaked state {state}")
+    check("fastpath-defaults-intact", recurrent_kernel_enabled(),
+          "leaked recurrent_kernel(False)")
     return ScenarioResult(
         scenario=name, seed=int(seed), invariants=tuple(invariants),
         details=details, wall_time_s=time.perf_counter() - t0, error=error,

@@ -3,8 +3,9 @@
 Decoding runs its emissions under ``no_grad``, where ``CharCNN`` takes a
 deduplicated plain-numpy path.  These tests pin the contract that makes
 that safe: the tape-free emissions are ``np.array_equal`` to the tape
-path, every decode entry point agrees on the paths, and inference
-records no tape node while training still gets char-CNN gradients.
+path, every decode entry point agrees with per-sentence Viterbi on the
+paths, and inference records no tape node while training still gets
+char-CNN gradients.
 """
 
 from __future__ import annotations
@@ -82,12 +83,16 @@ def test_inference_matches_tape(encoder, conditioning, use_char_cnn,
         taped = model.emission_scores(batch, phi)
         with no_grad():
             tape_free = model.emission_scores(batch, phi)
+            # Independent oracle: per-sentence Viterbi on each row.
+            reference = [model.crf.viterbi_decode(e.data)
+                         for e in model.emissions(batch, phi)]
     finally:
         model.train()
     assert taped.requires_grad and not tape_free.requires_grad
     assert np.array_equal(taped.data, tape_free.data)
 
     paths = model.decode(sentences, phi)
+    assert paths == reference
     within, _statuses = model.decode_within(sentences, phi)
     assert within == paths
     results = TaggingService(model, SCHEME, phi=phi).tag_many(token_lists)

@@ -138,42 +138,87 @@ class TestParallelEvaluationParity:
         assert len(result.episode_scores) >= 2
         assert len(result.episode_scores) < len(episodes)
 
-    def test_fast_flag_smoke(self, fixture):
-        episodes = fixture[2][:1]
-        adapter = _adapter(fixture)
-        plain = evaluate_method(adapter, episodes, workers=1)
-        fast = evaluate_method(adapter, episodes, workers=1, fast=True)
-        assert len(fast.episode_scores) == 1
-        # FEWNER's inner loop is CE-based, so the fused CRF NLL does not
-        # change its adaptation; decode is bit-identical too.
-        assert fast.episode_scores == plain.episode_scores
+
+def _uncached_phi(adapter, episode):
+    """FEWNER's test-time inner loop written out without the cache:
+    every step recomputes the encoder pass (``base=None``)."""
+    from repro.autodiff.tensor import Tensor, grad
+
+    model = adapter.model
+    model.eval()
+    batch = model.encode(list(episode.support), episode.scheme)
+    phi = model.new_context()
+    alpha = Tensor(np.array(adapter.config.inner_lr))
+    for _k in range(adapter.config.inner_steps_test):
+        loss = model.token_ce_loss(batch, phi, base=None)
+        (g_phi,) = grad(loss, [phi])
+        phi = phi - alpha * g_phi
+    return phi.detach()
+
+
+def _cache_counters(run):
+    from repro import obs
+
+    with obs.telemetry_session() as session:
+        run()
+    counters = session.registry.snapshot()["counters"]
+    return (counters.get("adaptation_cache.miss", 0),
+            counters.get("adaptation_cache.hit", 0))
 
 
 class TestAdaptationCache:
     """The frozen-encoder cache must not change a single number."""
 
     def test_evaluation_bit_identical(self, fixture):
-        from repro.perf import adaptation_cache_enabled, legacy_kernels
+        from repro.eval import episode_f1
 
         episodes = fixture[2]
+        assert len(episodes) >= 2
         adapter = _adapter(fixture)
-        assert adaptation_cache_enabled()
-        with legacy_kernels():
-            assert not adaptation_cache_enabled()
-            legacy = evaluate_method(adapter, episodes, workers=1)
+        expected = []
+        for episode in episodes:
+            phi = _uncached_phi(adapter, episode)
+            reference = adapter.model.predict_spans(
+                list(episode.query), episode.scheme, phi=phi
+            )
+            assert adapter.predict_episode(episode) == reference
+            gold = [[span.as_tuple() for span in sent.spans]
+                    for sent in episode.query]
+            expected.append(episode_f1(gold, reference))
         cached = evaluate_method(adapter, episodes, workers=1)
-        assert legacy.episode_scores == cached.episode_scores
-        assert legacy.ci == cached.ci
+        assert cached.episode_scores == tuple(expected)
 
     def test_adapted_context_bit_identical(self, fixture):
-        from repro.perf import legacy_kernels
-
         adapter = _adapter(fixture)
+        for episode in fixture[2][:2]:
+            phi_cached = adapter.adapt_context(episode)
+            phi_reference = _uncached_phi(adapter, episode)
+            assert np.array_equal(phi_cached.data, phi_reference.data)
+
+    def test_selection_rule_counters(self, fixture):
+        """Cache exactly when the inner loop is first-order and the model
+        is dropout-free: one miss then a hit per step, else a miss per
+        step."""
         episode = fixture[2][0]
-        phi_fast = adapter.adapt_context(episode)
-        with legacy_kernels():
-            phi_slow = adapter.adapt_context(episode)
-        assert (phi_fast.data == phi_slow.data).all()
+        adapter = _adapter(fixture)
+        steps = adapter.config.inner_steps_test
+        assert _cache_counters(
+            lambda: adapter.predict_episode(episode)) == (1, steps)
+
+        # Second order: differentiating through the inner steps.
+        assert _cache_counters(lambda: adapter._inner_adapt(
+            episode, 3, create_graph=True)) == (3, 0)
+
+        # Inner dropout during meta-training: the model stays in training
+        # mode, so the encoder pass differs between steps.
+        word_vocab, char_vocab, _episodes = fixture
+        dropout = build_method(
+            "FewNER", word_vocab, char_vocab, 3,
+            MethodConfig(seed=3, pretrain_iterations=0, inner_dropout=True),
+        )
+        dropout.model.train()
+        assert _cache_counters(lambda: dropout._inner_adapt(
+            episode, 3, create_graph=False)) == (3, 0)
 
 
 class TestHarnessWorkers:

@@ -5,8 +5,12 @@ import pytest
 
 from repro.autodiff.tensor import Tensor
 from repro.crf import LinearChainCRF, bio_start_mask, bio_transition_mask
-from repro.perf import fastpath, fused_nll_enabled, legacy_kernels
-from repro.perf.kernels import crf_forward_batch
+from repro.models.decoding import (
+    DEGRADED_BREAKER,
+    FULL,
+    decode_emissions_within,
+)
+from repro.perf import recurrent_kernel_enabled
 
 
 @pytest.fixture
@@ -35,23 +39,6 @@ def grad_of(x):
     return np.asarray(x.grad.data if hasattr(x.grad, "data") else x.grad)
 
 
-class TestForwardParity:
-    def test_log_partition_matches_per_sentence(self, rng):
-        for _ in range(15):
-            emissions, _tags, mask, lengths, num_tags = random_batch(rng)
-            crf = LinearChainCRF(num_tags, rng)
-            trans = crf.transitions.data + crf._transition_penalty
-            start = crf.start_scores.data + crf._start_penalty
-            log_z = crf_forward_batch(
-                trans, start, crf.end_scores.data, emissions, mask
-            )
-            for b in range(emissions.shape[0]):
-                expected = crf.log_partition(
-                    Tensor(emissions[b, : lengths[b]])
-                ).item()
-                assert log_z[b] == pytest.approx(expected, abs=1e-10)
-
-
 class TestDecodeParity:
     def test_viterbi_bit_identical(self, rng):
         for _ in range(15):
@@ -60,17 +47,6 @@ class TestDecodeParity:
             batched = crf.viterbi_decode_batch(emissions, mask)
             serial = [
                 crf.viterbi_decode(emissions[b, : lengths[b]])
-                for b in range(emissions.shape[0])
-            ]
-            assert batched == serial
-
-    def test_greedy_bit_identical(self, rng):
-        for _ in range(15):
-            emissions, _tags, mask, lengths, num_tags = random_batch(rng)
-            crf = LinearChainCRF(num_tags, rng)
-            batched = crf.argmax_decode_batch(emissions, mask)
-            serial = [
-                crf.argmax_decode(emissions[b, : lengths[b]])
                 for b in range(emissions.shape[0])
             ]
             assert batched == serial
@@ -95,9 +71,6 @@ class TestDecodeParity:
         )
         assert crf.viterbi_decode_batch(emissions, mask) == [
             crf.viterbi_decode(emissions[b, : lengths[b]]) for b in range(5)
-        ]
-        assert crf.argmax_decode_batch(emissions, mask) == [
-            crf.argmax_decode(emissions[b, : lengths[b]]) for b in range(5)
         ]
 
     def test_tensor_input_accepted(self, rng):
@@ -125,8 +98,7 @@ class TestFusedNLL:
         for _ in range(10):
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
-            with legacy_kernels():
-                slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
+            slow = crf.batch_nll_padded(Tensor(emissions), tags, mask)
             fast = crf.batch_nll_fast(Tensor(emissions), tags, mask)
             assert fast.item() == pytest.approx(slow.item(), abs=1e-10)
 
@@ -135,8 +107,7 @@ class TestFusedNLL:
             emissions, tags, mask, _lengths, num_tags = random_batch(rng)
             crf = LinearChainCRF(num_tags, rng)
             e_slow = Tensor(emissions, requires_grad=True)
-            with legacy_kernels():
-                crf.batch_nll_padded(e_slow, tags, mask).backward()
+            crf.batch_nll_padded(e_slow, tags, mask).backward()
             expected = {
                 name: grad_of(p).copy()
                 for name, p in (("trans", crf.transitions),
@@ -156,6 +127,16 @@ class TestFusedNLL:
                 np.testing.assert_allclose(
                     grad_of(p), expected[name], atol=1e-8, err_msg=name
                 )
+
+    def test_fused_loss_is_one_tape_node(self, rng):
+        emissions, tags, mask, _lengths, num_tags = random_batch(rng)
+        crf = LinearChainCRF(num_tags, rng)
+        fused = crf.batch_nll_fast(
+            Tensor(emissions, requires_grad=True), tags, mask
+        )
+        # Its parents are exactly the emissions and the three CRF
+        # parameter tensors.
+        assert len(fused._node.parents) == 4
 
     def test_second_order_rejected(self, rng):
         crf = LinearChainCRF(3, rng)
@@ -179,46 +160,63 @@ class TestFusedNLL:
             )
 
 
+def _rows(emissions, lengths):
+    return [Tensor(emissions[b, : lengths[b]]) for b in range(len(lengths))]
+
+
+class _Unexpired:
+    expired = False
+
+
 class TestFastpathSwitches:
-    def test_defaults(self):
-        from repro.perf import batched_decode_enabled
-
-        assert batched_decode_enabled()
-        assert not fused_nll_enabled()
-
-    def test_fastpath_routes_padded_nll(self, rng):
+    def test_defaults(self, rng):
+        """The recurrent kernel is on, and ``batch_nll_padded`` is always
+        the composite graph: it supports second-order differentiation."""
+        assert recurrent_kernel_enabled()
         emissions, tags, mask, _lengths, num_tags = random_batch(rng)
         crf = LinearChainCRF(num_tags, rng)
-        with fastpath():
-            assert fused_nll_enabled()
-            routed = crf.batch_nll_padded(
-                Tensor(emissions, requires_grad=True), tags, mask
+        loss = crf.batch_nll_padded(
+            Tensor(emissions, requires_grad=True), tags, mask
+        )
+        loss.backward(create_graph=True)
+
+    @pytest.mark.parametrize("selector", ["none", "deadline", "on_sentence",
+                                          "breaker_open"])
+    def test_decode_branches_match_per_row_reference(self, rng, selector):
+        """The batched branch and every per-sentence branch match the
+        per-row decoder they stand for."""
+        kwargs, decoder, status = {
+            "none": ({}, "viterbi_decode", FULL),
+            "deadline": ({"deadline": _Unexpired()}, "viterbi_decode", FULL),
+            "on_sentence": ({"on_sentence": lambda i: None},
+                            "viterbi_decode", FULL),
+            "breaker_open": ({"allow_viterbi": False}, "argmax_decode",
+                             DEGRADED_BREAKER),
+        }[selector]
+        for _ in range(10):
+            emissions, _tags, _mask, lengths, num_tags = random_batch(rng)
+            crf = LinearChainCRF(num_tags, rng)
+            rows = _rows(emissions, lengths)
+            paths, statuses = decode_emissions_within(crf, rows, **kwargs)
+            assert paths == [getattr(crf, decoder)(r.data) for r in rows]
+            assert statuses == [status] * len(rows)
+
+
+class TestZeroLengthEmissions:
+    """An empty sentence is rejected with the same ``ValueError`` by the
+    batched kernel and by both per-sentence decoders."""
+
+    @pytest.mark.parametrize("decoder", ["viterbi_decode", "argmax_decode"])
+    def test_per_sentence_decoders_reject(self, rng, decoder):
+        crf = LinearChainCRF(3, rng)
+        with pytest.raises(ValueError, match="at least one token"):
+            getattr(crf, decoder)(np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("selector", ["batched", "deadline"])
+    def test_decode_emissions_within_rejects(self, rng, selector):
+        crf = LinearChainCRF(3, rng)
+        kwargs = {} if selector == "batched" else {"deadline": _Unexpired()}
+        with pytest.raises(ValueError, match="at least one token"):
+            decode_emissions_within(
+                crf, [np.zeros((2, 3)), np.zeros((0, 3))], **kwargs
             )
-        assert not fused_nll_enabled()
-        # The fused loss is a single tape node: its parents are exactly
-        # the emissions and the three CRF parameter tensors.
-        assert len(routed._node.parents) == 4
-
-    def test_legacy_kernels_disables_both(self):
-        from repro.perf import batched_decode_enabled
-
-        with legacy_kernels():
-            assert not batched_decode_enabled()
-            assert not fused_nll_enabled()
-        assert batched_decode_enabled()
-
-    def test_decode_paths_route_identically(self, rng):
-        """Model-level decode is identical with kernels on and off."""
-        emissions, _tags, mask, lengths, num_tags = random_batch(rng)
-        crf = LinearChainCRF(num_tags, rng)
-        from repro.models.decoding import decode_emissions_within
-
-        rows = [
-            Tensor(emissions[b, : lengths[b]])
-            for b in range(emissions.shape[0])
-        ]
-        fast_paths, fast_statuses = decode_emissions_within(crf, rows)
-        with legacy_kernels():
-            slow_paths, slow_statuses = decode_emissions_within(crf, rows)
-        assert fast_paths == slow_paths
-        assert fast_statuses == slow_statuses

@@ -38,7 +38,7 @@ def _evaluate(fixture):
     from repro.meta.evaluate import evaluate_method
 
     adapter, episodes = fixture
-    return repr(vars(evaluate_method(adapter, episodes, fast=True)))
+    return repr(vars(evaluate_method(adapter, episodes)))
 
 
 def test_evaluation_bit_identical_cold_and_warm(eval_fixture, tmp_path):
