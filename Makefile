@@ -91,7 +91,7 @@ bench:
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro perf bench --preset smoke \
 	    --workloads crf_nll crf_decode rnn_forward rnn_backward \
-	        store_roundtrip serve_throughput \
+	        store_roundtrip \
 	    --check benchmarks/BENCH_baseline.json --threshold 1.0 \
 	    --output /tmp/bench_smoke.json
 

@@ -138,9 +138,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Graph plumbing
     # ------------------------------------------------------------------
-    def _creates_graph(self) -> bool:
-        return self.requires_grad and is_grad_enabled()
-
     def backward(self, grad_output: "Tensor | None" = None, create_graph: bool = False) -> None:
         """Backpropagate from this tensor, accumulating into ``.grad``.
 
@@ -720,14 +717,6 @@ def _topo_order(roots: Sequence[Tensor]) -> list[Tensor]:
                 if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
     return order
-
-
-def _collect_leaves(root: Tensor) -> list[Tensor]:
-    leaves = []
-    for t in _topo_order([root]):
-        if t._node is None and t.requires_grad:
-            leaves.append(t)
-    return leaves
 
 
 def _backprop(

@@ -362,7 +362,8 @@ def cmd_tag(args: argparse.Namespace) -> int:
                 lines = fh.read().splitlines()
         requests = [line.split() for line in lines if line.strip()]
 
-    results = service.tag_many(requests)
+    results = _tag_in_waves(service.tag_many, requests,
+                            service.config.max_pending)
     failures = 0
     for result in results:
         if result.status == "ok":
@@ -392,6 +393,19 @@ def cmd_tag(args: argparse.Namespace) -> int:
     if args.strict and (failures or quarantined):
         return 1
     return 0
+
+
+def _tag_in_waves(tag_many, requests: list, wave: int) -> list:
+    """Feed ``tag_many`` in waves no larger than its admission bound.
+
+    Submitting a whole input file at once would shed everything past the
+    bounded queue; a wave that fits is drained before the next is
+    admitted, so every line gets an answer.
+    """
+    results = []
+    for start in range(0, len(requests), wave):
+        results.extend(tag_many(requests[start:start + wave]))
+    return results
 
 
 def _overload_config(args):
@@ -450,7 +464,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         if args.rolling_reload:
             gateway.start_rolling_reload()
-        results = gateway.tag_many(requests, timeout_s=args.timeout_s)
+        results = _tag_in_waves(
+            lambda wave: gateway.tag_many(wave, timeout_s=args.timeout_s),
+            requests, args.max_shard_queue,
+        )
         if args.rolling_reload:
             gateway.drain(timeout_s=args.timeout_s, pump_reload=True)
         for result in results:
@@ -848,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a rolling drain/swap/readmit reload while "
                         "serving (demonstrates zero-loss reload)")
     p.add_argument("--timeout-s", type=float, default=60.0,
-                   help="wall-clock bound on draining (default 60)")
+                   help="wall-clock bound on draining each wave of "
+                        "--max-shard-queue lines (default 60)")
     p.add_argument("--strict", action="store_true",
                    help="exit non-zero if any request failed")
     p.add_argument("--json", action="store_true",

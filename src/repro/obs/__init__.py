@@ -6,8 +6,9 @@ One :class:`Telemetry` session may be active per process at a time
 :func:`count`, :func:`set_gauge`, :func:`observe`, :func:`emit` — are
 sprinkled through the hot paths of the codebase; when no session is
 active each costs a single global load + ``is None`` check and does
-nothing, which the ``telemetry_overhead`` bench workload keeps under 2%
-on episode evaluation.
+nothing.  :func:`repro.perf.bench.telemetry_overhead_pct` bounds that
+disabled cost under 2% on episode evaluation; the ``telemetry_overhead``
+bench workload times *enabled* telemetry instead.
 
 Fork safety: a session records its owning pid.  Worker processes forked
 by :class:`~repro.perf.executor.EpisodeExecutor` inherit the module

@@ -1,43 +1,40 @@
 """Benchmark workloads and the ``repro perf bench`` regression harness.
 
-Each workload times a *baseline* implementation (the pre-fast-path code
-path, reconstructed where the old code no longer exists) against the
-*fast* implementation shipped by :mod:`repro.perf`, on fixed seeded
-inputs:
+Each workload times a *baseline* implementation against the *fast*
+implementation shipped by :mod:`repro.perf`, on fixed seeded inputs.
+Every kernel pair's baseline is the reference its parity tests compare
+against:
 
 * ``crf_nll``      — padded-batch CRF NLL forward+backward: autodiff
   graph (``batch_nll_padded``) vs the fused analytic kernel
   (``batch_nll_fast``);
 * ``crf_decode``   — Viterbi: per-sentence recursion vs the batched
   kernel;
-* ``rnn_forward``  — BiGRU forward: per-step cell calls with per-step
-  constant allocation vs the fused single-tape-node recurrent kernel
-  (:mod:`repro.perf.rnn_kernels`);
+* ``rnn_forward``  — BiGRU forward: the per-step tape unroll that
+  ``recurrent_kernel(False)`` selects vs the fused single-tape-node
+  recurrent kernel (:mod:`repro.perf.rnn_kernels`);
 * ``rnn_backward`` — the same pair, forward plus backward (the fused
   side backprops through one node with the hand-derived BPTT);
-* ``fewner_inner`` — one FEWNER adapt-and-predict episode under
-  ``recurrent_kernel(False)`` vs the shipped defaults;
-* ``episode_eval`` — end-to-end ``evaluate_method``:
-  ``recurrent_kernel(False)`` and the serial loop vs the shipped
-  defaults with the episode-parallel executor;
-* ``telemetry_overhead`` — ``episode_eval`` with telemetry off
-  (baseline) vs an active in-memory telemetry session (fast); its extra
-  ``overhead_pct`` key is the relative cost of *enabled* telemetry.
-  The disabled-mode cost (one global load + ``is None`` check per call
-  site) is measured separately by :func:`telemetry_overhead_pct`, which
-  backs the < 2 % gate in the observability test suite.
+* ``episode_eval`` — end-to-end ``evaluate_method`` under the shipped
+  kernels: the serial episode loop vs the episode-parallel executor.
+  No other benchmark times the executor (stackbench's fewner-episodes
+  runs its episodes serially);
+* ``telemetry_overhead`` — the serial ``episode_eval`` loop with
+  telemetry off (baseline) vs an active in-memory telemetry session
+  (fast); its extra ``overhead_pct`` key is the relative cost of
+  *enabled* telemetry.  The disabled-mode cost (one global load +
+  ``is None`` check per call site) is bounded by
+  :func:`telemetry_overhead_pct`, which backs the < 2 % gate in the
+  observability test suite;
 * ``store_roundtrip`` — serving a fixed request batch with no
   persistent store (baseline: every request runs encode + Viterbi) vs
   against a pre-warmed :mod:`repro.store` session (fast: decoded paths
   come back as content-addressed hits, and the timing includes the
   session open — lock, recovery scan, mmap).  Its extra ``warm_hits`` /
   ``warm_misses`` keys record the hit traffic of one warm pass.
-* ``serve_throughput`` — end-to-end warm :class:`TaggingService`
-  request loop (no store): ``recurrent_kernel(False)`` vs the shipped
-  defaults.  Both sides decode tape-free through the same decode path,
-  so the ratio is the fused recurrent kernel's alone.  Its extra
-  ``sentences_per_s`` key is the fast-path throughput, the headline
-  serving number for encode-heavy inference-time adaptation.
+
+End-to-end serving, FEWNER episodes and meta-training are timed by the
+stack benchmark (``stackbench/``), not here.
 
 Timing goes through :func:`repro.obs.measure`, so medians and IQRs here
 and in ``repro.experiments.timing`` follow one convention.  Results are
@@ -63,11 +60,9 @@ WORKLOADS = (
     "crf_decode",
     "rnn_forward",
     "rnn_backward",
-    "fewner_inner",
     "episode_eval",
     "telemetry_overhead",
     "store_roundtrip",
-    "serve_throughput",
 )
 
 #: Repetition counts per preset: (kernel workloads, end-to-end workloads).
@@ -175,25 +170,6 @@ def _bench_crf_decode(reps: int, workers: int, seed: int) -> dict:
     return _paired(baseline, fast, reps)
 
 
-def _legacy_gru_forward(layer, x, mask):
-    """The pre-fast-path GRU loop: per-step cell calls, per-step constants."""
-    from repro.autodiff.tensor import Tensor, mul, stack, zeros
-
-    batch, length, _input = x.shape
-    h = zeros((batch, layer.hidden_size))
-    steps = (
-        range(length - 1, -1, -1) if layer.reverse else range(length)
-    )
-    outputs = [None] * length
-    for t in steps:
-        h_new = layer.cell(x[:, t, :], h)
-        keep = Tensor(mask[:, t : t + 1])
-        frozen = Tensor(1.0 - mask[:, t : t + 1])
-        h = mul(keep, h_new) + mul(frozen, h)
-        outputs[t] = h
-    return stack(outputs, axis=1)
-
-
 def _rnn_fixture(seed: int):
     from repro.nn import BiGRU
 
@@ -207,13 +183,13 @@ def _rnn_fixture(seed: int):
 
 def _bench_rnn_forward(reps: int, workers: int, seed: int) -> dict:
     from repro.autodiff.tensor import Tensor
+    from repro.perf.fastpath import recurrent_kernel
 
     layer, x, mask = _rnn_fixture(seed)
 
     def baseline():
-        xt = Tensor(x, requires_grad=True)
-        _legacy_gru_forward(layer.forward_rnn, xt, mask)
-        _legacy_gru_forward(layer.backward_rnn, xt, mask)
+        with recurrent_kernel(False):
+            layer(Tensor(x, requires_grad=True), mask)
 
     def fast():
         layer(Tensor(x, requires_grad=True), mask)
@@ -222,20 +198,14 @@ def _bench_rnn_forward(reps: int, workers: int, seed: int) -> dict:
 
 
 def _bench_rnn_backward(reps: int, workers: int, seed: int) -> dict:
-    from repro.autodiff.tensor import Tensor, concatenate
+    from repro.autodiff.tensor import Tensor
+    from repro.perf.fastpath import recurrent_kernel
 
     layer, x, mask = _rnn_fixture(seed)
 
     def baseline():
-        xt = Tensor(x, requires_grad=True)
-        out = concatenate(
-            [
-                _legacy_gru_forward(layer.forward_rnn, xt, mask),
-                _legacy_gru_forward(layer.backward_rnn, xt, mask),
-            ],
-            axis=-1,
-        )
-        out.sum().backward()
+        with recurrent_kernel(False):
+            layer(Tensor(x, requires_grad=True), mask).sum().backward()
 
     def fast():
         layer(Tensor(x, requires_grad=True), mask).sum().backward()
@@ -243,31 +213,13 @@ def _bench_rnn_backward(reps: int, workers: int, seed: int) -> dict:
     return _paired(baseline, fast, reps)
 
 
-def _bench_fewner_inner(reps: int, workers: int, seed: int) -> dict:
-    from repro.perf.fastpath import recurrent_kernel
-
-    fixture = _episode_fixture(seed, 1)
-    episode = fixture.episodes[0]
-
-    def baseline():
-        with recurrent_kernel(False):
-            fixture.adapter.predict_episode(episode)
-
-    def fast():
-        fixture.adapter.predict_episode(episode)
-
-    return _paired(baseline, fast, reps)
-
-
 def _bench_episode_eval(reps: int, workers: int, seed: int) -> dict:
     from repro.meta.evaluate import evaluate_method
-    from repro.perf.fastpath import recurrent_kernel
 
     fixture = _episode_fixture(seed, 4)
 
     def baseline():
-        with recurrent_kernel(False):
-            evaluate_method(fixture.adapter, fixture.episodes)
+        evaluate_method(fixture.adapter, fixture.episodes)
 
     def fast():
         evaluate_method(fixture.adapter, fixture.episodes, workers=workers)
@@ -344,41 +296,6 @@ def _bench_store_roundtrip(reps: int, workers: int, seed: int) -> dict:
         return result
     finally:
         shutil.rmtree(directory, ignore_errors=True)
-
-
-def _bench_serve_throughput(reps: int, workers: int, seed: int) -> dict:
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
-    from repro.perf.fastpath import recurrent_kernel
-    from repro.serving import TaggingService
-    from repro.serving.loadgen import synthetic_requests
-
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle", "when", "council", "met", "river")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(
-        Vocabulary(pool), CharVocabulary(pool), scheme.num_tags,
-        BackboneConfig(), np.random.default_rng(seed),
-        tag_names=scheme.tags,
-    )
-    requests = synthetic_requests(64, seed=seed, pool=pool)
-    service = TaggingService(model, scheme)  # warm: built once, reused
-
-    def serve_all():
-        for tokens in requests:
-            service.tag(list(tokens))
-
-    def baseline():
-        with recurrent_kernel(False):
-            serve_all()
-
-    result = _paired(baseline, serve_all, reps)
-    fast_s = result["fast"]["median_ms"] / 1000.0
-    result["sentences_per_s"] = (
-        round(len(requests) / fast_s, 1) if fast_s > 0 else float("inf")
-    )
-    return result
 
 
 def telemetry_overhead_pct(seed: int = 0, rounds: int = 3,
@@ -530,16 +447,14 @@ _RUNNERS = {
     "crf_decode": _bench_crf_decode,
     "rnn_forward": _bench_rnn_forward,
     "rnn_backward": _bench_rnn_backward,
-    "fewner_inner": _bench_fewner_inner,
     "episode_eval": _bench_episode_eval,
     "telemetry_overhead": _bench_telemetry_overhead,
     "store_roundtrip": _bench_store_roundtrip,
-    "serve_throughput": _bench_serve_throughput,
 }
 
 #: Workloads timed with the end-to-end repetition count.
-_HEAVY = frozenset({"fewner_inner", "episode_eval", "telemetry_overhead",
-                    "store_roundtrip", "serve_throughput"})
+_HEAVY = frozenset({"episode_eval", "telemetry_overhead",
+                    "store_roundtrip"})
 
 
 # ----------------------------------------------------------------------
@@ -576,7 +491,7 @@ def run_bench(preset: str = "default",
     for name in selected:
         reps = heavy_reps if name in _HEAVY else kernel_reps
         results[name] = _RUNNERS[name](reps, workers, seed)
-    document = {
+    return {
         "schema": 1,
         "revision": git_revision(),
         "preset": preset,
@@ -585,15 +500,6 @@ def run_bench(preset: str = "default",
         "crf_shape": list(CRF_SHAPE),
         "workloads": results,
     }
-    if "crf_nll" in results and "crf_decode" in results:
-        base = (results["crf_nll"]["baseline"]["median_ms"]
-                + results["crf_decode"]["baseline"]["median_ms"])
-        fast = (results["crf_nll"]["fast"]["median_ms"]
-                + results["crf_decode"]["fast"]["median_ms"])
-        document["crf_nll_decode_speedup"] = round(
-            base / fast if fast > 0 else float("inf"), 3
-        )
-    return document
 
 
 def write_result(document: dict, path: str) -> None:
@@ -657,10 +563,5 @@ def render(document: dict) -> str:
         if "warm_hits" in result:
             line += (f"  ({result['warm_hits']} warm hits, "
                      f"{result['warm_misses']} misses)")
-        if "sentences_per_s" in result:
-            line += f"  ({result['sentences_per_s']:.0f} sentences/s)"
         lines.append(line)
-    combined = document.get("crf_nll_decode_speedup")
-    if combined is not None:
-        lines.append(f"crf nll+decode combined speedup: {combined:.2f}x")
     return "\n".join(lines)

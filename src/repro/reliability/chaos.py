@@ -560,28 +560,39 @@ def _run_checkpoint_corruption(seed, check):
 # Serving-layer scenario
 # ----------------------------------------------------------------------
 
+#: Vocabulary of the toy tagger the serving scenarios share; their
+#: synthetic traffic is drawn from the same pool.
+_TOY_POOL = ("the", "visited", "today", "reports", "arrived",
+             "Kavox", "Zuqev", "Mirelle")
+
+
+def _toy_tagger(seed, pool=_TOY_POOL):
+    """An untrained, seeded CNN-BiGRU-CRF over ``pool`` and its scheme."""
+    import numpy as np
+
+    from repro.data.tags import TagScheme
+    from repro.data.vocab import CharVocabulary, Vocabulary
+    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
+
+    scheme = TagScheme(("0", "1"))
+    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
+                        scheme.num_tags, BackboneConfig(),
+                        np.random.default_rng(seed), tag_names=scheme.tags)
+    return model, scheme
+
+
 @_scenario(
     "serving-burst",
     "slow-decode burst trips the breaker; shed requests degrade (never "
     "hang); after the cool-down the half-open probe re-closes it",
 )
 def _run_serving_burst(seed, check):
-    import numpy as np
-
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
     from repro.reliability.faults import FaultInjector
     from repro.serving import (
         CLOSED, HALF_OPEN, OPEN, ManualClock, ServiceConfig, TaggingService,
     )
 
-    tokens = ["the", "visited", "today", "reports", "arrived"]
-    rng = np.random.default_rng(seed)
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(tokens), CharVocabulary(tokens),
-                        scheme.num_tags, BackboneConfig(), rng,
-                        tag_names=scheme.tags)
+    model, scheme = _toy_tagger(seed, _TOY_POOL[:5])
     clock = ManualClock()
     injector = FaultInjector(slow_decode_s=0.3, slow_decode_for=2,
                              clock=clock)
@@ -630,9 +641,6 @@ def _run_gateway_replica_kill(seed, check):
     import numpy as np
 
     from repro import obs
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
     from repro.obs.report import assemble_traces
     from repro.obs.reqtrace import flight_recorder, request_tracing
     from repro.serving import ServiceConfig, TaggingService
@@ -640,12 +648,7 @@ def _run_gateway_replica_kill(seed, check):
     from repro.serving.loadgen import synthetic_requests
     from repro.serving.replica import fork_available
 
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
+    model, scheme = _toy_tagger(seed)
 
     def factory(replica_id):
         return TaggingService(model, scheme, ServiceConfig(max_pending=512))
@@ -653,7 +656,7 @@ def _run_gateway_replica_kill(seed, check):
     # Replicas are clones of one fork-inherited model, so any replica's
     # answer must match this single-process oracle bit for bit.
     oracle = factory(-1)
-    requests = synthetic_requests(48, seed=seed, pool=pool)
+    requests = synthetic_requests(48, seed=seed, pool=_TOY_POOL)
     chaos_rng = np.random.default_rng((seed, 8317))
     kill_at = set(int(i) for i in
                   chaos_rng.choice(np.arange(6, 42), size=3, replace=False))
@@ -780,11 +783,6 @@ def _run_gateway_replica_kill(seed, check):
     "bit-identical to a single-process oracle — resumes after the storm",
 )
 def _run_overload_storm(seed, check):
-    import numpy as np
-
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
     from repro.reliability.faults import FaultInjector
     from repro.serving import (
         BATCH, INTERACTIVE, STANDARD, ManualClock, OverloadConfig,
@@ -793,12 +791,7 @@ def _run_overload_storm(seed, check):
     from repro.serving.gateway import GatewayConfig, ShardedGateway
     from repro.serving.loadgen import run_load, synthetic_requests
 
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
+    model, scheme = _toy_tagger(seed)
     clock = ManualClock()
     ocfg = OverloadConfig(
         codel_target_ms=40.0, codel_interval_ms=100.0,
@@ -827,7 +820,7 @@ def _run_overload_storm(seed, check):
 
     # Undegraded answers must match this fault-free, deadline-free twin.
     oracle = TaggingService(model, scheme)
-    requests = synthetic_requests(120, seed=seed, pool=pool)
+    requests = synthetic_requests(120, seed=seed, pool=_TOY_POOL)
     priorities = assign_priorities(
         len(requests),
         {INTERACTIVE: 0.25, STANDARD: 0.4, BATCH: 0.35}, seed=seed,
@@ -850,7 +843,7 @@ def _run_overload_storm(seed, check):
 
         # Calm phase: injectors are spent, so windows run clean; drive
         # light probe traffic until every replica ladder steps back to 0.
-        probes = synthetic_requests(8, seed=seed + 1, pool=pool)
+        probes = synthetic_requests(8, seed=seed + 1, pool=_TOY_POOL)
         recovered = False
         for _ in range(300):
             snap = gateway.health().get("overload", {})
@@ -862,7 +855,7 @@ def _run_overload_storm(seed, check):
             gateway.tag_many(probes, priority=INTERACTIVE, timeout_s=30.0)
 
         # Full-fidelity check: fresh requests, no storm, no degradation.
-        finale = synthetic_requests(12, seed=seed + 2, pool=pool)
+        finale = synthetic_requests(12, seed=seed + 2, pool=_TOY_POOL)
         answers = gateway.tag_many(finale, deadline_ms=None,
                                    priority=INTERACTIVE, timeout_s=60.0)
         report = gateway.report
@@ -935,25 +928,15 @@ def _run_trace_determinism(seed, check):
     import shutil
     import tempfile
 
-    import numpy as np
-
     from repro import obs
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
     from repro.obs.report import assemble_traces, render_trace
     from repro.obs.reqtrace import flight_recorder, request_tracing
     from repro.serving import ManualClock, ServiceConfig, TaggingService
     from repro.serving.gateway import GatewayConfig, ShardedGateway
     from repro.serving.loadgen import synthetic_requests
 
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
-    requests = synthetic_requests(24, seed=seed, pool=pool)
+    model, scheme = _toy_tagger(seed)
+    requests = synthetic_requests(24, seed=seed, pool=_TOY_POOL)
 
     def run_once(tmpdir):
         # One manual clock drives the gateway, every replica service
@@ -1139,23 +1122,13 @@ def _run_store_crash_mid_write(seed, check):
     import shutil
     import tempfile
 
-    import numpy as np
-
-    from repro.data.tags import TagScheme
-    from repro.data.vocab import CharVocabulary, Vocabulary
-    from repro.models.backbone import BackboneConfig, CNNBiGRUCRF
     from repro.reliability.faults import FaultInjector
     from repro.serving import TaggingService
     from repro.serving.loadgen import synthetic_requests
     from repro.store import store_session
 
-    pool = ("the", "visited", "today", "reports", "arrived",
-            "Kavox", "Zuqev", "Mirelle")
-    scheme = TagScheme(("0", "1"))
-    model = CNNBiGRUCRF(Vocabulary(pool), CharVocabulary(pool),
-                        scheme.num_tags, BackboneConfig(),
-                        np.random.default_rng(seed), tag_names=scheme.tags)
-    requests = synthetic_requests(16, seed=seed, pool=pool)
+    model, scheme = _toy_tagger(seed)
+    requests = synthetic_requests(16, seed=seed, pool=_TOY_POOL)
     oracle = [TaggingService(model, scheme).tag(list(toks))
               for toks in requests]
 

@@ -134,3 +134,41 @@ class TestTag:
         captured = capsys.readouterr()
         assert "input sanitized" in captured.out
         assert "served 1 request(s)" in captured.err
+
+
+def _lines(n):
+    words = ("the", "market", "fell", "prices", "rose", "again")
+    return "".join(f"{words[i % 6]} {words[(i + 1) % 6]} line{i}\n"
+                   for i in range(n))
+
+
+class TestNoSilentShedding:
+    """Both CLIs answer every input line, however long the file is
+    relative to the admission bound."""
+
+    def test_tag_answers_past_max_pending(self, checkpoint, tmp_path,
+                                          capsys):
+        src = tmp_path / "in.txt"
+        src.write_text(_lines(100))  # > the default max_pending of 64
+        assert main(["tag", "--input", str(src), checkpoint]) == 0
+        captured = capsys.readouterr()
+        out = captured.out.strip().splitlines()
+        assert len(out) == 100
+        assert all(f"line{i}" in line for i, line in enumerate(out))
+        assert "served 100 request(s)" in captured.err
+        assert "0 shed" in captured.err
+
+    @pytest.mark.parametrize("n_lines, flags", [
+        (300, []),  # > the default 3 x 64 fleet capacity
+        (10, ["--replicas", "1", "--max-shard-queue", "4"]),
+    ])
+    def test_serve_answers_past_shard_bounds(self, checkpoint, tmp_path,
+                                             capsys, n_lines, flags):
+        src = tmp_path / "in.txt"
+        src.write_text(_lines(n_lines))
+        code = main(["serve", checkpoint, "--input", str(src),
+                     "--backend", "in-process", "--strict", *flags])
+        assert code == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert len(out) == n_lines
+        assert all(f"line{i}" in line for i, line in enumerate(out))

@@ -26,7 +26,6 @@ class TestRunBench:
                 assert result[side]["median_ms"] > 0
                 assert result[side]["reps"] == bench.PRESETS["smoke"][0]
             assert result["speedup"] > 0
-        assert kernel_doc["crf_nll_decode_speedup"] > 0
 
     def test_fast_path_actually_faster(self, kernel_doc):
         """The fused NLL must beat the autodiff graph comfortably; wide
